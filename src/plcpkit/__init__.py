@@ -55,6 +55,7 @@ from plcpkit.cfrac import (
 )
 from plcpkit.hankel import (
     apww_check,
+    first_even_hankel_order,
     hankel_integer_pm1,
     hankel_mod_p,
     is_apwenian_hankel,

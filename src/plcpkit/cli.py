@@ -104,7 +104,11 @@ def _build_parser() -> _Parser:
     ker.add_argument("--in", dest="infile", required=True)
     ker.add_argument("--tau", type=int, default=64)
     ker.add_argument("--max-classes", type=int, default=256)
-    ker.add_argument("--dot", help="write the class graph as DOT to a file")
+    ker.add_argument(
+        "--dot",
+        metavar="PATH",
+        help="write the class graph to a file as an edge list, one 'class_i --op--> class_j' per line",
+    )
 
     om = asub.add_parser("om", help="orthogonal multiplicity of a polynomial")
     om.add_argument("--g", required=True, help="ascending coefficients, e.g. 0,1 for t")

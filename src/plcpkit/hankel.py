@@ -1,11 +1,18 @@
 """Hankel determinants of sequence prefixes, modular and exact.
 
 H_n is the determinant of the n x n matrix with entry (i, j) = c_{i+j},
-built from an origin-0 prefix.  Each order is eliminated independently —
-no determinant is derived from a neighbouring order, so any single
-wrong value is caught by the cross-checks instead of propagating.  For
-+-1 integer matrices the fraction-free (Bareiss) elimination gives exact
-integer values.
+built from an origin-0 prefix.
+
+Over F2 the parities come from one Gaussian elimination of the packed
+rows of H_m without pivoting: while H_1..H_(k-1) are odd, the k-th
+pivot is H_k / H_(k-1), so the pass reads every leading minor up to the
+first even order and stops there.  `hankel_mod_p` eliminates each later
+order on its own (`_kernels.hankel_parities`), as it does every order
+for odd p.  The pass uses only the Hankel entries, so this route stays
+independent of the profile, the recurrences and the continued fraction;
+the tests check it against the per-order eliminations and a Leibniz
+expansion.  For +-1 integer matrices the fraction-free (Bareiss)
+elimination gives exact integer values.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from plcpkit.field import CoeffSeq, PrimeField
 
 __all__ = [
     "HankelReport",
+    "first_even_hankel_order",
     "hankel_mod_p",
     "is_apwenian_hankel",
     "is_apwenian_recurrence",
@@ -78,8 +86,37 @@ def _det_mod_p(rows, field: PrimeField, pivot: str = "row") -> int:
     return det % p
 
 
+def _first_even_order(terms, m: int) -> int | None:
+    """Least n <= m with H_n even, or None; one elimination of H_m over F2.
+
+    No pivoting: row k is cleared below the diagonal by rows 0..k-1, so
+    while every earlier pivot is 1 the k-th pivot is the parity of
+    H_(k+1).
+    """
+    full = _kernels.pack_bits(terms[: 2 * m - 1])
+    mask = (1 << m) - 1
+    rows = [(full >> i) & mask for i in range(m)]
+    for k in range(m):
+        pos = 1 << k
+        piv = rows[k]
+        if not piv & pos:
+            return k + 1
+        for r in range(k + 1, m):
+            if rows[r] & pos:
+                rows[r] ^= piv
+    return None
+
+
 def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelReport:
-    """H_1..H_max_order of an origin-0 prefix, reduced mod p."""
+    """H_1..H_max_order of an origin-0 prefix, reduced mod p.
+
+    `pivot` selects how a zero pivot is replaced: "row" searches down
+    the column (swapping rows), "col" searches along the row (swapping
+    columns).  Over F2, "row" reads the odd prefix H_1..H_(k-1) from
+    one elimination (`_first_even_order`) and eliminates only from the
+    first even order k on order by order; "col" always runs the generic
+    per-order elimination, which the tests use as an oracle.
+    """
     if c.origin != 0:
         raise ValueError("expects an origin-0 sequence; use shift_index(0)")
     if max_order < 1:
@@ -89,7 +126,11 @@ def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelRepor
             f"insufficient terms: order {max_order} needs {2 * max_order - 1}, have {len(c)}"
         )
     if c.field.p == 2 and pivot == "row":
-        values = tuple(_kernels.hankel_parities(list(c.terms), max_order))
+        k = _first_even_order(c.terms, max_order)
+        values = (1,) * max_order
+        if k is not None:
+            tail = _kernels.hankel_parities(list(c.terms), max_order)[k - 1 :]
+            values = values[: k - 1] + tuple(tail)
     else:
         t = c.terms
         values = tuple(
@@ -104,6 +145,20 @@ def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelRepor
     )
 
 
+def first_even_hankel_order(c: CoeffSeq) -> int | None:
+    """Least order n <= (N+1)//2 with H_n even, or None if all are odd.
+
+    This is the Hankel witness of an imperfect profile: 2n-1 is the
+    least length l at which the linear complexity of c_0..c_(l-1) is
+    not ceil(l/2).
+    """
+    if c.field.p != 2:
+        raise ValueError("Hankel parities are defined over F2")
+    if c.origin != 0:
+        raise ValueError("expects an origin-0 sequence; use shift_index(0)")
+    return _first_even_order(c.terms, (len(c) + 1) // 2)
+
+
 def is_apwenian_hankel(c: CoeffSeq) -> bool:
     """Every computable H_n (n <= (N+1)//2) is odd, via the determinants."""
     if c.field.p != 2:
@@ -112,8 +167,7 @@ def is_apwenian_hankel(c: CoeffSeq) -> bool:
         raise ValueError("expects an origin-0 sequence; use shift_index(0)")
     if c.terms[0] != 1:
         raise ValueError("requires leading term 1")
-    report = hankel_mod_p(c, (len(c) + 1) // 2)
-    return all(v == 1 for v in report.values)
+    return _first_even_order(c.terms, (len(c) + 1) // 2) is None
 
 
 def is_apwenian_recurrence(c: CoeffSeq) -> bool:

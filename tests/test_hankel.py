@@ -1,22 +1,30 @@
-"""Hankel determinant checks against a permutation-expansion oracle."""
+"""Hankel determinant checks against a permutation-expansion oracle.
+
+The F2 parities come from one elimination pass; the per-order
+eliminations (`_ref.hankel_parities`, pivot="col") are its oracles here.
+"""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plcpkit._kernels import _ref
 from plcpkit.field import CoeffSeq, PrimeField
 from plcpkit.hankel import (
     ApwwResult,
     HankelReport,
     apww_check,
+    first_even_hankel_order,
     hankel_integer_pm1,
     hankel_mod_p,
     is_apwenian_hankel,
     is_apwenian_recurrence,
 )
-from plcpkit.seqgen import named_sequence
+from plcpkit.lincomplex import lcp_profile
+from plcpkit.seqgen import BitSource, named_sequence, phi2_selector
 
 GF2 = PrimeField(2)
 
@@ -161,3 +169,116 @@ def test_apwenian_input_validation():
 def test_apww_rejects_bad_order():
     with pytest.raises(ValueError, match="max_order"):
         apww_check(0)
+
+
+def first_zero(values):
+    return next((n for n, v in enumerate(values, start=1) if v == 0), None)
+
+
+def order_parity(bits, n):
+    # one order on its own: row-pivoted elimination of the packed H_n
+    rows = [_ref.pack_bits(bits[i : i + n]) for i in range(n)]
+    for col in range(n):
+        pos = 1 << col
+        piv = next((r for r in range(col, n) if rows[r] & pos), None)
+        if piv is None:
+            return 0
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(col + 1, n):
+            if rows[r] & pos:
+                rows[r] ^= rows[col]
+    return 1
+
+
+def phi2_prefix(seed, length):
+    return list(phi2_selector(BitSource.seeded(seed), length).terms)
+
+
+def flipped(bits, index):
+    out = list(bits)
+    out[index] ^= 1
+    return out
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=41))
+def test_one_pass_matches_per_order_eliminations(bits):
+    c = CoeffSeq(GF2, bits, origin=0)
+    m = (len(bits) + 1) // 2
+    per_order = _ref.hankel_parities(bits, m)
+    assert list(hankel_mod_p(c, m).values) == per_order
+    assert hankel_mod_p(c, m, pivot="col").values == tuple(per_order)
+    assert first_even_hankel_order(c) == first_zero(per_order)
+    if bits[0] == 1:
+        assert is_apwenian_hankel(c) == all(v == 1 for v in per_order)
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        phi2_prefix(1, 512),
+        [1] + random.Random(2).choices((0, 1), k=511),
+        [0] + random.Random(3).choices((0, 1), k=511),
+        flipped(phi2_prefix(4, 512), 230),  # first even order 116
+        flipped(phi2_prefix(5, 512), 301),  # first even order 152
+    ],
+    ids=["phi2", "random", "random-leading-0", "phi2-flip-230", "phi2-flip-301"],
+)
+def test_one_pass_matches_per_order_kernel_on_long_inputs(bits):
+    c = CoeffSeq(GF2, bits, origin=0)
+    per_order = _ref.hankel_parities(bits, 256)
+    assert list(hankel_mod_p(c, 256).values) == per_order
+    assert first_even_hankel_order(c) == first_zero(per_order)
+    if bits[0] == 1:
+        assert is_apwenian_hankel(c) == all(v == 1 for v in per_order)
+
+
+def test_late_first_even_order_falls_back_per_order():
+    # in a perfect prefix, flipping c_(2k-2) or c_(2k-3) first makes H_k even
+    for seed, index in ((4, 230), (5, 301)):
+        c = CoeffSeq(GF2, flipped(phi2_prefix(seed, 512), index), origin=0)
+        k = first_even_hankel_order(c)
+        assert k == index // 2 + 1 + index % 2 and k > 100
+        values = hankel_mod_p(c, 256).values
+        assert values[: k - 1] == (1,) * (k - 1) and values[k - 1] == 0
+        assert 0 < values.count(1) - (k - 1) < 256 - k  # odd and even orders follow
+
+
+def test_one_pass_on_phi2_length_1024():
+    bits = phi2_prefix(6, 1024)
+    c = CoeffSeq(GF2, bits, origin=0)
+    assert first_even_hankel_order(c) is None
+    assert is_apwenian_hankel(c)
+    assert set(hankel_mod_p(c, 512).values) == {1}
+    for n in (1, 2, 3, 64, 127, 255, 384, 512):
+        assert order_parity(bits, n) == 1
+
+
+def test_first_even_order_is_the_profile_witness():
+    # 2k - 1 is the first n with L(n) != ceil(n/2) for s_n = c_(n-1)
+    rng = random.Random(7)
+    for trial in range(600):
+        length = rng.randint(2, 199)
+        if trial % 3 == 0:
+            bits = flipped(phi2_prefix(trial, length), rng.randrange(length))
+        elif trial % 3 == 1:
+            bits = phi2_prefix(trial, length)
+        else:
+            bits = rng.choices((0, 1), k=length)
+        c = CoeffSeq(GF2, bits, origin=0)
+        profile = lcp_profile(c.shift_index(1)).values
+        first_bad = next(
+            (n for n, l in enumerate(profile, start=1) if l != (n + 1) // 2), None
+        )
+        k = first_even_hankel_order(c)
+        if first_bad is None:
+            assert k is None, bits
+        else:
+            assert k is not None and 2 * k - 1 == first_bad, bits
+
+
+def test_first_even_order_input_validation():
+    with pytest.raises(ValueError, match="F2"):
+        first_even_hankel_order(CoeffSeq(PrimeField(3), [1, 2, 1], origin=0))
+    with pytest.raises(ValueError, match="origin-0"):
+        first_even_hankel_order(CoeffSeq(GF2, [1, 0, 1], origin=1))
+    assert first_even_hankel_order(CoeffSeq(GF2, [0, 1, 1], origin=0)) == 1
