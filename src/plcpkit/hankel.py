@@ -6,9 +6,10 @@ built from an origin-0 prefix.
 Over F2 the parities come from one Gaussian elimination of the packed
 rows of H_m without pivoting: while H_1..H_(k-1) are odd, the k-th
 pivot is H_k / H_(k-1), so the pass reads every leading minor up to the
-first even order and stops there.  `hankel_mod_p` eliminates each later
-order on its own (`_kernels.hankel_parities`), as it does every order
-for odd p.  The pass uses only the Hankel entries, so this route stays
+first even order and stops there.  From that order on, `hankel_mod_p`
+reads the parities from the per-order elimination
+(`_kernels.hankel_parities`); for odd p it eliminates every order on
+its own.  The pass uses only the Hankel entries, so this route stays
 independent of the profile, the recurrences and the continued fraction;
 the tests check it against the per-order eliminations and a Leibniz
 expansion.  For +-1 integer matrices the fraction-free (Bareiss)
@@ -113,9 +114,10 @@ def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelRepor
     `pivot` selects how a zero pivot is replaced: "row" searches down
     the column (swapping rows), "col" searches along the row (swapping
     columns).  Over F2, "row" reads the odd prefix H_1..H_(k-1) from
-    one elimination (`_first_even_order`) and eliminates only from the
-    first even order k on order by order; "col" always runs the generic
-    per-order elimination, which the tests use as an oracle.
+    one elimination (`_first_even_order`); only if some order k is even
+    does it run the per-order kernel and take the orders from k on from
+    it.  "col" always runs the generic per-order elimination, which the
+    tests use as an oracle.
     """
     if c.origin != 0:
         raise ValueError("expects an origin-0 sequence; use shift_index(0)")

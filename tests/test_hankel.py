@@ -71,7 +71,7 @@ def test_mod_p_matches_permutation_expansion(pt):
 
 @given(mod_p_inputs)
 def test_pivot_strategies_agree(pt):
-    # over F2 this doubles as packed-kernel vs generic-elimination cross-check
+    # over F2 this doubles as one-pass/packed-kernel vs generic-elimination cross-check
     p, terms = pt
     c = CoeffSeq(PrimeField(p), terms, origin=0)
     m = (len(terms) + 1) // 2
