@@ -3,17 +3,18 @@
 H_n is the determinant of the n x n matrix with entry (i, j) = c_{i+j},
 built from an origin-0 prefix.
 
-Over F2 the parities come from one Gaussian elimination of the packed
-rows of H_m without pivoting: while H_1..H_(k-1) are odd, the k-th
-pivot is H_k / H_(k-1), so the pass reads every leading minor up to the
-first even order and stops there.  From that order on, `hankel_mod_p`
-reads the parities from the per-order elimination
-(`_kernels.hankel_parities`); for odd p it eliminates every order on
-its own.  The pass uses only the Hankel entries, so this route stays
-independent of the profile, the recurrences and the continued fraction;
-the tests check it against the per-order eliminations and a Leibniz
-expansion.  For +-1 integer matrices the fraction-free (Bareiss)
-elimination gives exact integer values.
+Over F2, `hankel_mod_p` reads the parities from the packed per-order
+elimination (`_kernels.hankel_parities`), and for odd p it eliminates
+every order on its own.  `first_even_hankel_order` and
+`is_apwenian_hankel` need only the odd prefix, so they use one Gaussian
+elimination of the packed rows of H_m without pivoting: while
+H_1..H_(k-1) are odd, the k-th pivot is H_k / H_(k-1), so the pass
+reads every leading minor up to the first even order and stops there.
+The pass uses only the Hankel entries, so this route stays independent
+of the profile, the recurrences and the continued fraction; the tests
+check it against the per-order eliminations and a Leibniz expansion.
+For +-1 integer matrices the fraction-free (Bareiss) elimination gives
+exact integer values.
 """
 
 from __future__ import annotations
@@ -87,37 +88,14 @@ def _det_mod_p(rows, field: PrimeField, pivot: str = "row") -> int:
     return det % p
 
 
-def _first_even_order(terms, m: int) -> int | None:
-    """Least n <= m with H_n even, or None; one elimination of H_m over F2.
-
-    No pivoting: row k is cleared below the diagonal by rows 0..k-1, so
-    while every earlier pivot is 1 the k-th pivot is the parity of
-    H_(k+1).
-    """
-    full = _kernels.pack_bits(terms[: 2 * m - 1])
-    mask = (1 << m) - 1
-    rows = [(full >> i) & mask for i in range(m)]
-    for k in range(m):
-        pos = 1 << k
-        piv = rows[k]
-        if not piv & pos:
-            return k + 1
-        for r in range(k + 1, m):
-            if rows[r] & pos:
-                rows[r] ^= piv
-    return None
-
-
 def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelReport:
     """H_1..H_max_order of an origin-0 prefix, reduced mod p.
 
     `pivot` selects how a zero pivot is replaced: "row" searches down
     the column (swapping rows), "col" searches along the row (swapping
-    columns).  Over F2, "row" reads the odd prefix H_1..H_(k-1) from
-    one elimination (`_first_even_order`); only if some order k is even
-    does it run the per-order kernel and take the orders from k on from
-    it.  "col" always runs the generic per-order elimination, which the
-    tests use as an oracle.
+    columns).  Over F2, "row" runs the packed per-order kernel; "col"
+    always runs the generic per-order elimination, which the tests use
+    as an oracle.
     """
     if c.origin != 0:
         raise ValueError("expects an origin-0 sequence; use shift_index(0)")
@@ -128,11 +106,7 @@ def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelRepor
             f"insufficient terms: order {max_order} needs {2 * max_order - 1}, have {len(c)}"
         )
     if c.field.p == 2 and pivot == "row":
-        k = _first_even_order(c.terms, max_order)
-        values = (1,) * max_order
-        if k is not None:
-            tail = _kernels.hankel_parities(list(c.terms), max_order)[k - 1 :]
-            values = values[: k - 1] + tuple(tail)
+        values = tuple(_kernels.hankel_parities(list(c.terms), max_order))
     else:
         t = c.terms
         values = tuple(
@@ -152,24 +126,35 @@ def first_even_hankel_order(c: CoeffSeq) -> int | None:
 
     This is the Hankel witness of an imperfect profile: 2n-1 is the
     least length l at which the linear complexity of c_0..c_(l-1) is
-    not ceil(l/2).
+    not ceil(l/2).  One elimination of H_m over F2 with no pivoting:
+    row k is cleared below the diagonal by rows 0..k-1, so while every
+    earlier pivot is 1 the k-th pivot is the parity of H_(k+1).
     """
     if c.field.p != 2:
         raise ValueError("Hankel parities are defined over F2")
     if c.origin != 0:
         raise ValueError("expects an origin-0 sequence; use shift_index(0)")
-    return _first_even_order(c.terms, (len(c) + 1) // 2)
+    m = (len(c) + 1) // 2
+    full = _kernels.pack_bits(c.terms[: 2 * m - 1])
+    mask = (1 << m) - 1
+    rows = [(full >> i) & mask for i in range(m)]
+    for k in range(m):
+        pos = 1 << k
+        piv = rows[k]
+        if not piv & pos:
+            return k + 1
+        for r in range(k + 1, m):
+            if rows[r] & pos:
+                rows[r] ^= piv
+    return None
 
 
 def is_apwenian_hankel(c: CoeffSeq) -> bool:
     """Every computable H_n (n <= (N+1)//2) is odd, via the determinants."""
-    if c.field.p != 2:
-        raise ValueError("apwenian predicates are defined over F2")
-    if c.origin != 0:
-        raise ValueError("expects an origin-0 sequence; use shift_index(0)")
+    k = first_even_hankel_order(c)
     if c.terms[0] != 1:
         raise ValueError("requires leading term 1")
-    return _first_even_order(c.terms, (len(c) + 1) // 2) is None
+    return k is None
 
 
 def is_apwenian_recurrence(c: CoeffSeq) -> bool:

@@ -1,7 +1,8 @@
 """Hankel determinant checks against a permutation-expansion oracle.
 
-The F2 parities come from one elimination pass; the per-order
-eliminations (`_ref.hankel_parities`, pivot="col") are its oracles here.
+The F2 witness `first_even_hankel_order` is one elimination pass; the
+per-order eliminations (`_ref.hankel_parities`, pivot="col") are its
+oracles here.
 """
 
 import itertools
@@ -71,7 +72,7 @@ def test_mod_p_matches_permutation_expansion(pt):
 
 @given(mod_p_inputs)
 def test_pivot_strategies_agree(pt):
-    # over F2 this doubles as one-pass/packed-kernel vs generic-elimination cross-check
+    # over F2 this doubles as packed-kernel vs generic-elimination cross-check
     p, terms = pt
     c = CoeffSeq(PrimeField(p), terms, origin=0)
     m = (len(terms) + 1) // 2
@@ -226,13 +227,12 @@ def test_one_pass_matches_per_order_eliminations(bits):
 def test_one_pass_matches_per_order_kernel_on_long_inputs(bits):
     c = CoeffSeq(GF2, bits, origin=0)
     per_order = _ref.hankel_parities(bits, 256)
-    assert list(hankel_mod_p(c, 256).values) == per_order
     assert first_even_hankel_order(c) == first_zero(per_order)
     if bits[0] == 1:
         assert is_apwenian_hankel(c) == all(v == 1 for v in per_order)
 
 
-def test_late_first_even_order_falls_back_per_order():
+def test_late_first_even_order_in_flipped_phi2_prefixes():
     # in a perfect prefix, flipping c_(2k-2) or c_(2k-3) first makes H_k even
     for seed, index in ((4, 230), (5, 301)):
         c = CoeffSeq(GF2, flipped(phi2_prefix(seed, 512), index), origin=0)
@@ -248,7 +248,6 @@ def test_one_pass_on_phi2_length_1024():
     c = CoeffSeq(GF2, bits, origin=0)
     assert first_even_hankel_order(c) is None
     assert is_apwenian_hankel(c)
-    assert set(hankel_mod_p(c, 512).values) == {1}
     for n in (1, 2, 3, 64, 127, 255, 384, 512):
         assert order_parity(bits, n) == 1
 
