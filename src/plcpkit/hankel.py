@@ -12,9 +12,9 @@ H_1..H_(k-1) are odd, the k-th pivot is H_k / H_(k-1), so the pass
 reads every leading minor up to the first even order and stops there.
 The pass uses only the Hankel entries, so this route stays independent
 of the profile, the recurrences and the continued fraction; the tests
-check it against the per-order eliminations and a Leibniz expansion.
-For +-1 integer matrices the fraction-free (Bareiss) elimination gives
-exact integer values.
+check it against the per-order eliminations, which they check against
+a Leibniz expansion.  For +-1 integer matrices the fraction-free
+(Bareiss) elimination gives exact integer values.
 """
 
 from __future__ import annotations
