@@ -1,12 +1,13 @@
-"""Pure-Python F2 kernels using ints as bit vectors.
+"""F2 hot-path kernels in pure Python, using ints as bit vectors.
 
-Mirrors the compiled backend's API exactly; it is selected when the
-extension is not built or PLCPKIT_BACKEND=pure is set.  Bit i of a
-packed int is the coefficient of x^i (equivalently the sequence term of
-index i).
+Bit i of a packed int is the coefficient of x^i (equivalently the
+sequence term of index i).  `backend_name()` names this implementation;
+`verify` reports and benchmark records carry it.
 """
 
-BACKEND_NAME = "pure-python"
+
+def backend_name():
+    return "pure-python"
 
 
 def pack_bits(bits):
@@ -102,31 +103,35 @@ def series_inverse(bits):
     return unpack_bits(_inv_packed(u, prec), prec)
 
 
+def _divmod_packed(a, b):
+    # polynomial division over F2; b != 0
+    db = b.bit_length()
+    q = 0
+    while (shift := a.bit_length() - db) >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
 def laurent_cf(bits):
-    """Continued fraction of sum_n bits[n-1] x^n from N known coefficients.
+    """Continued fraction of sum_n bits[n-1] t^-n from N known coefficients.
 
     Returns (quotients, bound): packed partial quotients in t (all monic
-    over F2), extracted only while the remainder precision certifies
-    them, and a lower bound for the degree of the next quotient.
+    over F2), kept only while the input precision certifies them, and a
+    lower bound for the degree of the next quotient.  The quotients are
+    those of Euclid's algorithm on (t^N, P), P = sum_n bits[n-1] t^(N-n);
+    see `plcpkit.cfrac` for the cut-off.
     """
     n = len(bits)
-    r = pack_bits(bits) << 1  # bit i = coefficient of x^i
-    k = n  # bits 1..k of r are known
+    num, den = 1 << n, pack_bits(bits[::-1])
     quotients = []
-    while True:
-        if r == 0:
-            return quotients, (k + 1 if k >= 1 else 1)
-        v = (r & -r).bit_length() - 1
-        if 2 * v > k:
-            return quotients, v
-        prec = k - v + 1
-        u = (r >> v) & ((1 << prec) - 1)
-        iu = _inv_packed(u, prec)
-        # partial quotient: coefficient of t^j is bit (v - j) of iu
-        a = 0
-        for j in range(v + 1):
-            if (iu >> (v - j)) & 1:
-                a |= 1 << j
-        quotients.append(a)
-        k -= 2 * v
-        r = (iu >> v) & (((1 << (k + 1)) - 1) & ~1)
+    total = 0  # sum of the kept degrees
+    while den:
+        d = num.bit_length() - den.bit_length()
+        if 2 * (total + d) > n:
+            return quotients, min(d, n - 2 * total + 1)
+        q, r = _divmod_packed(num, den)
+        quotients.append(q)
+        total += d
+        num, den = den, r
+    return quotients, n - 2 * total + 1

@@ -1,10 +1,19 @@
 """Continued fractions of formal Laurent series and of rational functions.
 
-A sequence prefix s_1..s_N determines the series sum s_n t^{-n} modulo
-t^{-(N+1)}.  Partial quotients are extracted by repeated polynomial-part
-removal with truncated series inversion; a quotient is recorded as
-*guaranteed* only while twice the accumulated denominator degree stays
-within N, which is exactly the range the input pins down.  Quotients are
+A sequence prefix s_1..s_N determines the series S = sum s_n t^{-n}
+modulo t^{-(N+1)}, and so does the rational P/t^N with
+P = sum s_n t^{N-n}.  Partial quotients are those of Euclid's algorithm
+on (t^N, P), the division algorithm that also expands exact fractions
+(`rational_cf`); Euclid on this pair is Berlekamp-Massey in another
+guise (Dornstetter 1987).  With D the sum of the degrees kept so far and
+d the degree of the next quotient, the next convergent's error has
+order t^{-(2D+d)}.  So a quotient is recorded as *guaranteed* only while
+2(D + d) <= N, which is exactly the range the input pins down.  At the
+cut-off the next quotient has degree d if 2D + d <= N and at least
+N - 2D + 1 otherwise, as it does when the remainder vanishes: in both
+cases `next_degree_bound` is min(d, N - 2D + 1).  Over F2 the packed
+`_kernels.laurent_cf` runs this on Python ints; for odd p one DensePoly
+Euclid serves both `laurent_cf` and `rational_cf`.  Quotients are
 stored monic with the stripped leading units kept alongside.
 """
 
@@ -84,6 +93,30 @@ class ConvergentPair:
     q: DensePoly
 
 
+def _euclid(num: DensePoly, den: DensePoly, n: int | None = None):
+    """Monic partial quotients, their units and the next-degree bound of
+    num/den, deg den < deg num, by the division algorithm.
+
+    With n None the expansion runs to its end and the bound is None;
+    otherwise num/den stands for a series known modulo t^{-(n+1)} and
+    the quotients stop at the cut-off in the module docstring.
+    """
+    monics = []
+    units = []
+    total = 0  # sum of the kept degrees
+    while not den.is_zero:
+        d = num.degree - den.degree
+        if n is not None and 2 * (total + d) > n:
+            return monics, units, min(d, n - 2 * total + 1)
+        q, rem = poly_divmod(num, den)
+        unit, monic = q.monic()
+        monics.append(monic)
+        units.append(unit)
+        total += d
+        num, den = den, rem
+    return monics, units, None if n is None else n - 2 * total + 1
+
+
 def laurent_cf(s: CoeffSeq) -> ContinuedFraction:
     """Continued fraction of sum s_n t^{-n} from an origin-1 prefix."""
     if s.origin != 1:
@@ -91,61 +124,21 @@ def laurent_cf(s: CoeffSeq) -> ContinuedFraction:
     fld = s.field
     if fld.p == 2:
         packed, bound = _kernels.laurent_cf(list(s.terms))
-        quotients = tuple(
-            DensePoly(fld, _kernels.unpack_bits(q, q.bit_length())) for q in packed
+        monics = [DensePoly(fld, _kernels.unpack_bits(q, q.bit_length())) for q in packed]
+        units = [1] * len(monics)
+    else:
+        n = len(s.terms)
+        monics, units, bound = _euclid(
+            DensePoly.monomial(fld, n), DensePoly(fld, s.terms[::-1]), n
         )
-        return ContinuedFraction(
-            field=fld,
-            integer_part=DensePoly.zero(fld),
-            quotients=quotients,
-            units=(1,) * len(quotients),
-            guaranteed_count=len(quotients),
-            next_degree_bound=bound,
-        )
-    p = fld.p
-    n = len(s.terms)
-    # r[i] = coefficient of x^i (x = 1/t); known for 1 <= i <= k
-    r = [0] + list(s.terms)
-    k = n
-    monics = []
-    units = []
-    while True:
-        v = next((i for i in range(1, k + 1) if r[i]), None)
-        if v is None:
-            return ContinuedFraction(
-                field=fld,
-                integer_part=DensePoly.zero(fld),
-                quotients=tuple(monics),
-                units=tuple(units),
-                guaranteed_count=len(monics),
-                next_degree_bound=k + 1 if k >= 1 else 1,
-            )
-        if 2 * v > k:
-            return ContinuedFraction(
-                field=fld,
-                integer_part=DensePoly.zero(fld),
-                quotients=tuple(monics),
-                units=tuple(units),
-                guaranteed_count=len(monics),
-                next_degree_bound=v,
-            )
-        prec = k - v + 1
-        u = r[v : v + prec]
-        # schoolbook inverse of the unit part, mod x^prec
-        u0i = fld.inv(u[0])
-        iu = [u0i]
-        for m in range(1, prec):
-            acc = 0
-            for i in range(1, m + 1):
-                if i < len(u) and u[i]:
-                    acc += u[i] * iu[m - i]
-            iu.append((-u0i * acc) % p)
-        quotient = DensePoly(fld, [iu[v - j] for j in range(v + 1)])
-        unit, monic = quotient.monic()
-        monics.append(monic)
-        units.append(unit)
-        k -= 2 * v
-        r = [0] + [iu[v + m] for m in range(1, k + 1)]
+    return ContinuedFraction(
+        field=fld,
+        integer_part=DensePoly.zero(fld),
+        quotients=tuple(monics),
+        units=tuple(units),
+        guaranteed_count=len(monics),
+        next_degree_bound=bound,
+    )
 
 
 def rational_cf(f: DensePoly, g: DensePoly) -> ContinuedFraction:
@@ -155,15 +148,7 @@ def rational_cf(f: DensePoly, g: DensePoly) -> ContinuedFraction:
     if g.is_zero:
         raise ZeroDivisionError("zero denominator")
     a0, rem = poly_divmod(f, g)
-    monics = []
-    units = []
-    num, den = g, rem
-    while not den.is_zero:
-        q, rem = poly_divmod(num, den)
-        unit, monic = q.monic()
-        monics.append(monic)
-        units.append(unit)
-        num, den = den, rem
+    monics, units, _ = _euclid(g, rem)
     return ContinuedFraction(
         field=f.field,
         integer_part=a0,

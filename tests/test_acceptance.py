@@ -9,9 +9,10 @@ import itertools
 import random
 from fractions import Fraction
 
+from cf_oracle import series_inverse_cf
 from conftest import record_acceptance
 
-from plcpkit._kernels import available_backends
+from plcpkit import _kernels
 from plcpkit.automata import (
     as_kernel_input,
     build_from_u,
@@ -34,6 +35,7 @@ from plcpkit.field import (
 )
 from plcpkit.hankel import apww_check, hankel_mod_p
 from plcpkit.lincomplex import (
+    BerlekampMassey,
     expected_lc_exhaustive,
     is_plcp,
     lc_bruteforce,
@@ -289,17 +291,18 @@ def test_criterion_10_differential_and_round_trip_suites():
             problems.append(f"hankel pivot disagreement at order {m}")
             break
 
-    # compiled vs pure backend on the raw kernels
-    backends = available_backends()
+    # old-vs-new differentials on the packed kernels: the profile against the
+    # generic Berlekamp-Massey, the continued fraction against the
+    # series-inverse extraction that the Euclid replaced
     for _ in range(40):
         bits = [rng.randrange(2) for _ in range(rng.randrange(1, 300))]
-        outs = {name: tuple(mod.lcp_profile(bits)) for name, mod in backends.items()}
-        if len(set(outs.values())) != 1:
-            problems.append(f"backend profile disagreement: {sorted(outs)}")
+        bm = BerlekampMassey(GF2)
+        if _kernels.lcp_profile(bits) != [bm.push(b) for b in bits]:
+            problems.append("old-vs-new profile disagreement")
             break
-        cfs = {name: mod.laurent_cf(bits) for name, mod in backends.items()}
-        if len({(tuple(q), b) for q, b in cfs.values()}) != 1:
-            problems.append(f"backend cf disagreement: {sorted(cfs)}")
+        s = CoeffSeq(GF2, bits, origin=1)
+        if laurent_cf(s) != series_inverse_cf(s):
+            problems.append("old-vs-new cf disagreement")
             break
 
     # u -> sequence -> u round trip, with the rebuilt sequence passing the checks
@@ -349,7 +352,7 @@ def test_criterion_10_differential_and_round_trip_suites():
     _check(
         10,
         not problems,
-        "pivot and backend differentials, u/v round trips, cf reconstruction over "
+        "pivot and old-vs-new differentials, u/v round trips, cf reconstruction over "
         "F2/F3/F5, and file round trips all exact"
         if not problems
         else "; ".join(problems),

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from cf_oracle import series_inverse_cf
 from hypothesis import given, strategies as st
 
 from plcpkit.cfrac import (
@@ -27,6 +28,18 @@ def generic_seqs(draw):
     f = PrimeField(p)
     terms = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=40))
     return CoeffSeq(f, terms, origin=1)
+
+
+@st.composite
+def prefixes_with_zero_runs(draw):
+    # leading-zero runs and all-zero prefixes exercise the cut-off's
+    # remainder-zero and long-first-quotient branches
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 130))
+    zeros = draw(st.sampled_from([0, 0, 1, 2, 5, n]))
+    zeros = min(zeros, n)
+    rest = draw(st.lists(st.integers(0, p - 1), min_size=n - zeros, max_size=n - zeros))
+    return CoeffSeq(PrimeField(p), [0] * zeros + rest, origin=1)
 
 
 @st.composite
@@ -123,6 +136,11 @@ def test_convergents_approximate_the_series(s):
         assert got.terms[: break_at - 1] == s.terms[: break_at - 1]
         if break_at <= len(s):
             assert got.terms[break_at - 1] != s.terms[break_at - 1]
+
+
+@given(prefixes_with_zero_runs())
+def test_euclid_matches_series_inverse_oracle(s):
+    assert laurent_cf(s) == series_inverse_cf(s)  # every ContinuedFraction field
 
 
 def test_laurent_cf_worked_example():

@@ -1,7 +1,7 @@
 """Hankel determinant checks against a permutation-expansion oracle.
 
 The F2 witness `first_even_hankel_order` is one elimination pass; the
-per-order eliminations (`_ref.hankel_parities`, pivot="col") are its
+per-order eliminations (`_kernels.hankel_parities`, pivot="col") are its
 oracles here.
 """
 
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plcpkit._kernels import _ref
+from plcpkit import _kernels
 from plcpkit.field import CoeffSeq, PrimeField
 from plcpkit.hankel import (
     ApwwResult,
@@ -178,7 +178,7 @@ def first_zero(values):
 
 def order_parity(bits, n):
     # one order on its own: row-pivoted elimination of the packed H_n
-    rows = [_ref.pack_bits(bits[i : i + n]) for i in range(n)]
+    rows = [_kernels.pack_bits(bits[i : i + n]) for i in range(n)]
     for col in range(n):
         pos = 1 << col
         piv = next((r for r in range(col, n) if rows[r] & pos), None)
@@ -205,7 +205,7 @@ def flipped(bits, index):
 def test_one_pass_matches_per_order_eliminations(bits):
     c = CoeffSeq(GF2, bits, origin=0)
     m = (len(bits) + 1) // 2
-    per_order = _ref.hankel_parities(bits, m)
+    per_order = _kernels.hankel_parities(bits, m)
     assert list(hankel_mod_p(c, m).values) == per_order
     assert hankel_mod_p(c, m, pivot="col").values == tuple(per_order)
     assert first_even_hankel_order(c) == first_zero(per_order)
@@ -226,7 +226,7 @@ def test_one_pass_matches_per_order_eliminations(bits):
 )
 def test_one_pass_matches_per_order_kernel_on_long_inputs(bits):
     c = CoeffSeq(GF2, bits, origin=0)
-    per_order = _ref.hankel_parities(bits, 256)
+    per_order = _kernels.hankel_parities(bits, 256)
     assert first_even_hankel_order(c) == first_zero(per_order)
     if bits[0] == 1:
         assert is_apwenian_hankel(c) == all(v == 1 for v in per_order)
