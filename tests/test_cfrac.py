@@ -2,7 +2,7 @@ import random
 
 import pytest
 from cf_oracle import series_inverse_cf
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plcpkit.cfrac import (
     convergents,
@@ -36,8 +36,7 @@ def prefixes_with_zero_runs(draw):
     # remainder-zero and long-first-quotient branches
     p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(1, 130))
-    zeros = draw(st.sampled_from([0, 0, 1, 2, 5, n]))
-    zeros = min(zeros, n)
+    zeros = min(draw(st.sampled_from([0, 1, 2, 5, n])), n)
     rest = draw(st.lists(st.integers(0, p - 1), min_size=n - zeros, max_size=n - zeros))
     return CoeffSeq(PrimeField(p), [0] * zeros + rest, origin=1)
 
@@ -139,6 +138,7 @@ def test_convergents_approximate_the_series(s):
 
 
 @given(prefixes_with_zero_runs())
+@example(CoeffSeq(PrimeField(3), [2] + [0] * 9, origin=1))  # remainder 0 after a_1
 def test_euclid_matches_series_inverse_oracle(s):
     assert laurent_cf(s) == series_inverse_cf(s)  # every ContinuedFraction field
 
