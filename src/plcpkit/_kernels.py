@@ -47,42 +47,6 @@ def lcp_profile(bits):
     return prof
 
 
-def hankel_parities(bits, m):
-    """Parities of the order 1..m Hankel determinants of a 0/1 list.
-
-    The order-n matrix has entry (i, j) = bits[i + j]; each order is
-    eliminated independently mod 2.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if 2 * m - 1 > len(bits):
-        raise ValueError(f"need 2*{m}-1 terms, have {len(bits)}")
-    full = pack_bits(bits)
-    out = []
-    for n in range(1, m + 1):
-        mask = (1 << n) - 1
-        rows = [(full >> i) & mask for i in range(n)]
-        parity = 1
-        for col in range(n):
-            pos = 1 << col
-            piv = -1
-            for r in range(col, n):
-                if rows[r] & pos:
-                    piv = r
-                    break
-            if piv < 0:
-                parity = 0
-                break
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-            pr = rows[col]
-            for r in range(col + 1, n):
-                if rows[r] & pos:
-                    rows[r] ^= pr
-        out.append(parity)
-    return out
-
-
 def _inv_packed(u, prec):
     # long division of 1 by u (constant term 1), mod x^prec
     r, e = 1, 0

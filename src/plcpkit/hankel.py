@@ -3,22 +3,25 @@
 H_n is the determinant of the n x n matrix with entry (i, j) = c_{i+j},
 built from an origin-0 prefix.
 
-Over F2, `hankel_mod_p` reads the parities from the packed per-order
-elimination (`_kernels.hankel_parities`), and for odd p it eliminates
-every order on its own.  `first_even_hankel_order` and
-`is_apwenian_hankel` need only the odd prefix, so they use one Gaussian
-elimination of the packed rows of H_m without pivoting: while
-H_1..H_(k-1) are odd, the k-th pivot is H_k / H_(k-1), so the pass
-reads every leading minor up to the first even order and stops there.
-The pass uses only the Hankel entries, so this route stays independent
-of the profile, the recurrences and the continued fraction; the tests
-check it against the per-order eliminations, which they check against
-a Leibniz expansion.  For +-1 integer matrices the fraction-free
-(Bareiss) elimination gives exact integer values.
+Over F2 every caller reads the parities from one incremental
+elimination of the packed rows of H_m (`_f2_parities`): row k enters at
+step k, is reduced by the pivots kept so far and, if anything is left,
+becomes a pivot at its lowest set bit.  The first k rows projected onto
+the first k columns have the rank of the pivots below column k, so H_k
+is odd exactly when those pivots are the columns 0..k-1.  One pass thus
+gives every order, odd or even, in O(m^3/64) bit operations;
+`first_even_hankel_order` stops it at the first even one.  The pass
+uses only the Hankel entries, so this route stays independent of the
+profile, the recurrences and the continued fraction; the tests check it
+against a per-order elimination and against pivot="col", which they
+check against a Leibniz expansion.  For odd p each order is eliminated
+on its own.  For +-1 integer matrices the fraction-free (Bareiss)
+elimination gives exact integer values.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from plcpkit import _kernels
@@ -68,14 +71,12 @@ def _det_mod_p(rows, field: PrimeField, pivot: str = "row") -> int:
                 if k is None:
                     return 0
                 m[step], m[k] = m[k], m[step]
-            elif pivot == "col":
+            else:
                 k = next((c for c in range(step + 1, n) if m[step][c] % p), None)
                 if k is None:
                     return 0
                 for r in range(n):
                     m[r][step], m[r][k] = m[r][k], m[r][step]
-            else:
-                raise ValueError(f"unknown pivot strategy: {pivot!r}")
             det = -det
         piv = m[step][step] % p
         det = (det * piv) % p
@@ -88,15 +89,35 @@ def _det_mod_p(rows, field: PrimeField, pivot: str = "row") -> int:
     return det % p
 
 
+def _f2_parities(terms, m):
+    """Yield the parities of H_1..H_m of a 0/1 prefix; see the module docstring."""
+    full = _kernels.pack_bits(terms[: 2 * m - 1])
+    mask = (1 << m) - 1
+    pivots = []  # (lowest set bit, row), sorted by that bit
+    cols = 0  # union of the pivots' lowest set bits
+    for k in range(m):
+        row = (full >> k) & mask
+        for low, piv in pivots:  # increasing: a pivot only sets bits above its own
+            if row & low:
+                row ^= piv
+        if row:
+            low = row & -row
+            insort(pivots, (low, row))
+            cols |= low
+        yield 1 if cols == (2 << k) - 1 else 0
+
+
 def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelReport:
     """H_1..H_max_order of an origin-0 prefix, reduced mod p.
 
     `pivot` selects how a zero pivot is replaced: "row" searches down
     the column (swapping rows), "col" searches along the row (swapping
-    columns).  Over F2, "row" runs the packed per-order kernel; "col"
-    always runs the generic per-order elimination, which the tests use
-    as an oracle.
+    columns).  Over F2, "row" reads every order from the one incremental
+    elimination of H_max_order; "col" always runs the generic per-order
+    elimination, which the tests use as an oracle.
     """
+    if pivot not in ("row", "col"):
+        raise ValueError(f"unknown pivot strategy: {pivot!r}")
     if c.origin != 0:
         raise ValueError("expects an origin-0 sequence; use shift_index(0)")
     if max_order < 1:
@@ -106,7 +127,7 @@ def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelRepor
             f"insufficient terms: order {max_order} needs {2 * max_order - 1}, have {len(c)}"
         )
     if c.field.p == 2 and pivot == "row":
-        values = tuple(_kernels.hankel_parities(list(c.terms), max_order))
+        values = tuple(_f2_parities(c.terms, max_order))
     else:
         t = c.terms
         values = tuple(
@@ -126,27 +147,15 @@ def first_even_hankel_order(c: CoeffSeq) -> int | None:
 
     This is the Hankel witness of an imperfect profile: 2n-1 is the
     least length l at which the linear complexity of c_0..c_(l-1) is
-    not ceil(l/2).  One elimination of H_m over F2 with no pivoting:
-    row k is cleared below the diagonal by rows 0..k-1, so while every
-    earlier pivot is 1 the k-th pivot is the parity of H_(k+1).
+    not ceil(l/2).  It runs the incremental elimination of H_m over F2,
+    m = (N+1)//2, only until the first even order.
     """
     if c.field.p != 2:
         raise ValueError("Hankel parities are defined over F2")
     if c.origin != 0:
         raise ValueError("expects an origin-0 sequence; use shift_index(0)")
-    m = (len(c) + 1) // 2
-    full = _kernels.pack_bits(c.terms[: 2 * m - 1])
-    mask = (1 << m) - 1
-    rows = [(full >> i) & mask for i in range(m)]
-    for k in range(m):
-        pos = 1 << k
-        piv = rows[k]
-        if not piv & pos:
-            return k + 1
-        for r in range(k + 1, m):
-            if rows[r] & pos:
-                rows[r] ^= piv
-    return None
+    parities = _f2_parities(c.terms, (len(c) + 1) // 2)
+    return next((n for n, odd in enumerate(parities, start=1) if not odd), None)
 
 
 def is_apwenian_hankel(c: CoeffSeq) -> bool:

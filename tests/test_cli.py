@@ -4,10 +4,11 @@ import csv
 import json
 
 import pytest
+from hankel_oracle import hankel_parities
 
 from plcpkit import cli
-from plcpkit.field import CoeffSeq, PrimeField, dumps_sequence, write_sequence
-from plcpkit.seqgen import rueppel
+from plcpkit.field import GF2, CoeffSeq, PrimeField, dumps_sequence, write_sequence
+from plcpkit.seqgen import BitSource, phi2_selector, rueppel
 
 
 def run(capsys, *argv):
@@ -137,6 +138,30 @@ def test_hankel_table_exact_and_csv(capsys, tmp_path):
     assert rc == 1 and "field=2" in err
     rc, out, err = run(capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "0")
     assert rc == 1
+
+
+def test_hankel_table_past_the_first_even_order(capsys, tmp_path):
+    # flipping c_60 of a perfect prefix makes H_31 the first even order;
+    # odd and even orders follow it up to --max
+    bits = list(phi2_selector(BitSource.seeded(4), 256).terms)
+    bits[60] ^= 1
+    seq_path = tmp_path / "flip.seq"
+    write_sequence(CoeffSeq(GF2, bits, origin=0), seq_path)
+    parities = hankel_parities(bits, 64)
+    assert parities.index(0) == 30 and 0 < parities[31:].count(1) < 33
+    rows = [(str(n), str(v), "true" if v else "false") for n, v in enumerate(parities, start=1)]
+    rc, out, err = run(capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "64")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["hankel determinants (mod 2), orders 1..64", "n\tvalue\todd"]
+    assert lines[2:] == ["\t".join(row) for row in rows]
+    csv_path = tmp_path / "flip.csv"
+    rc, out, err = run(
+        capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "64", "--csv", str(csv_path)
+    )
+    assert rc == 0 and out == ""
+    with open(csv_path, newline="") as fh:
+        assert list(csv.reader(fh)) == [["n", "value", "odd"]] + [list(row) for row in rows]
 
 
 def test_kernel_report_and_dot(capsys, tmp_path):

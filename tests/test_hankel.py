@@ -1,18 +1,18 @@
 """Hankel determinant checks against a permutation-expansion oracle.
 
-The F2 witness `first_even_hankel_order` is one elimination pass; the
-per-order eliminations (`_kernels.hankel_parities`, pivot="col") are its
-oracles here.
+Over F2, `hankel_mod_p` and `first_even_hankel_order` read one
+incremental elimination; the per-order eliminations
+(`hankel_oracle.hankel_parities`, pivot="col") are its oracles here.
 """
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hankel_oracle import hankel_parities, order_parity
+from hypothesis import given
 from hypothesis import strategies as st
 
-from plcpkit import _kernels
 from plcpkit.field import CoeffSeq, PrimeField
 from plcpkit.hankel import (
     ApwwResult,
@@ -80,10 +80,11 @@ def test_pivot_strategies_agree(pt):
 
 
 def test_unknown_pivot_rejected():
-    # the strategy is consulted on the first zero pivot
-    c = CoeffSeq(PrimeField(3), [0, 1, 2], origin=0)
-    with pytest.raises(ValueError, match="pivot"):
-        hankel_mod_p(c, 2, pivot="diagonal")
+    # checked before any elimination: with or without a zero pivot, over F2 too
+    for p, terms in ((3, [0, 1, 2]), (3, [1, 1, 2]), (2, [1, 0, 1])):
+        c = CoeffSeq(PrimeField(p), terms, origin=0)
+        with pytest.raises(ValueError, match="pivot"):
+            hankel_mod_p(c, 2, pivot="diagonal")
 
 
 @given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=11))
@@ -176,21 +177,6 @@ def first_zero(values):
     return next((n for n, v in enumerate(values, start=1) if v == 0), None)
 
 
-def order_parity(bits, n):
-    # one order on its own: row-pivoted elimination of the packed H_n
-    rows = [_kernels.pack_bits(bits[i : i + n]) for i in range(n)]
-    for col in range(n):
-        pos = 1 << col
-        piv = next((r for r in range(col, n) if rows[r] & pos), None)
-        if piv is None:
-            return 0
-        rows[col], rows[piv] = rows[piv], rows[col]
-        for r in range(col + 1, n):
-            if rows[r] & pos:
-                rows[r] ^= rows[col]
-    return 1
-
-
 def phi2_prefix(seed, length):
     return list(phi2_selector(BitSource.seeded(seed), length).terms)
 
@@ -201,16 +187,34 @@ def flipped(bits, index):
     return out
 
 
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=41))
-def test_one_pass_matches_per_order_eliminations(bits):
+@st.composite
+def f2_prefixes(draw):
+    # leading-zero runs and all-zero prefixes put odd orders after even ones
+    n = draw(st.integers(1, 129))
+    zeros = min(draw(st.sampled_from([0, 1, 2, 5, n])), n)
+    return [0] * zeros + draw(st.lists(st.integers(0, 1), min_size=n - zeros, max_size=n - zeros))
+
+
+@given(f2_prefixes(), st.data())
+def test_one_pass_matches_per_order_eliminations(bits, data):
     c = CoeffSeq(GF2, bits, origin=0)
     m = (len(bits) + 1) // 2
-    per_order = _kernels.hankel_parities(bits, m)
+    per_order = hankel_parities(bits, m)
     assert list(hankel_mod_p(c, m).values) == per_order
-    assert hankel_mod_p(c, m, pivot="col").values == tuple(per_order)
     assert first_even_hankel_order(c) == first_zero(per_order)
     if bits[0] == 1:
         assert is_apwenian_hankel(c) == all(v == 1 for v in per_order)
+    # a smaller max_order packs shorter rows; column pivoting costs O(k^4)
+    k = data.draw(st.integers(1, m))
+    values = hankel_mod_p(c, k).values
+    assert values == hankel_mod_p(c, k, pivot="col").values == tuple(per_order[:k])
+
+
+def test_per_order_oracle_input_validation():
+    with pytest.raises(ValueError):
+        hankel_parities([1, 0, 1], 0)
+    with pytest.raises(ValueError):
+        hankel_parities([1, 0, 1], 3)  # needs 2*3-1 = 5 terms
 
 
 @pytest.mark.parametrize(
@@ -226,7 +230,8 @@ def test_one_pass_matches_per_order_eliminations(bits):
 )
 def test_one_pass_matches_per_order_kernel_on_long_inputs(bits):
     c = CoeffSeq(GF2, bits, origin=0)
-    per_order = _kernels.hankel_parities(bits, 256)
+    per_order = hankel_parities(bits, 256)
+    assert list(hankel_mod_p(c, 256).values) == per_order
     assert first_even_hankel_order(c) == first_zero(per_order)
     if bits[0] == 1:
         assert is_apwenian_hankel(c) == all(v == 1 for v in per_order)

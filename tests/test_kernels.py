@@ -4,7 +4,6 @@ independent route, the generic-field code or the algorithm it replaced.
 
 import random
 
-import pytest
 from cf_oracle import series_inverse_cf
 from hypothesis import given, strategies as st
 
@@ -26,10 +25,6 @@ def _oracle_cf(bits):
     return [_kernels.pack_bits(q.coeffs) for q in cf.quotients], cf.next_degree_bound
 
 
-def _column_pivot_parities(bits, m):
-    return list(hankel_mod_p(CoeffSeq(GF2, bits, origin=0), m, pivot="col").values)
-
-
 def test_backend_registry():
     assert _kernels.backend_name() == "pure-python"
 
@@ -45,13 +40,6 @@ def test_lcp_profile_matches_generic_bm(bits):
     assert _kernels.lcp_profile(bits) == _generic_profile(bits)
 
 
-@given(data=st.data())
-def test_hankel_parities_match_column_pivoting(data):
-    bits = data.draw(bits_lists)
-    m = data.draw(st.integers(1, (len(bits) + 1) // 2))
-    assert _kernels.hankel_parities(bits, m) == _column_pivot_parities(bits, m)
-
-
 @given(bits_lists)
 def test_laurent_cf_matches_series_inverse_oracle(bits):
     assert _kernels.laurent_cf(bits) == _oracle_cf(bits)
@@ -64,9 +52,9 @@ def test_kernels_match_oracles_on_long_inputs():
         bits = [1] + [rng.randrange(2) for _ in range(n - 1)]
         assert _kernels.lcp_profile(bits) == _generic_profile(bits)
         assert _kernels.laurent_cf(bits) == _oracle_cf(bits)
-        # both Hankel scans are cubic per order; keep them honest but small
-        m = min((n + 1) // 2, 128)
-        assert _kernels.hankel_parities(bits, m) == _column_pivot_parities(bits, m)
+        # the packed Hankel pass against column pivoting, O(m^4); keep m small
+        c, m = CoeffSeq(GF2, bits, origin=0), min((n + 1) // 2, 128)
+        assert hankel_mod_p(c, m).values == hankel_mod_p(c, m, pivot="col").values
 
 
 def test_profile_worked_examples():
@@ -88,13 +76,6 @@ def test_inverse_is_multiplicative_inverse():
             for i in range(k + 1):
                 acc ^= bits[i] & inv[k - i]
             assert acc == (1 if k == 0 else 0)
-
-
-def test_hankel_parities_error_messages():
-    with pytest.raises(ValueError):
-        _kernels.hankel_parities([1, 0, 1], 0)
-    with pytest.raises(ValueError):
-        _kernels.hankel_parities([1, 0, 1], 3)  # needs 2*3-1 = 5 terms
 
 
 def test_laurent_cf_consumed_degree_bound():
