@@ -40,6 +40,15 @@ def test_lcp_profile_matches_generic_bm(bits):
     assert _kernels.lcp_profile(bits) == _generic_profile(bits)
 
 
+@given(data=st.data())
+def test_hankel_parities_match_column_pivoting(data):
+    # the packed one-pass F2 elimination against column pivoting at a drawn m
+    bits = data.draw(bits_lists)
+    m = data.draw(st.integers(1, (len(bits) + 1) // 2))
+    c = CoeffSeq(GF2, bits, origin=0)
+    assert hankel_mod_p(c, m).values == hankel_mod_p(c, m, pivot="col").values
+
+
 @given(bits_lists)
 def test_laurent_cf_matches_series_inverse_oracle(bits):
     assert _kernels.laurent_cf(bits) == _oracle_cf(bits)
