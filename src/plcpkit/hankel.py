@@ -3,25 +3,32 @@
 H_n is the determinant of the n x n matrix with entry (i, j) = c_{i+j},
 built from an origin-0 prefix.
 
-Over F2 every caller reads the parities from one incremental
-elimination of the packed rows of H_m (`_f2_parities`): row k enters at
-step k, is reduced by the pivots kept so far and, if anything is left,
-becomes a pivot at its lowest set bit.  The first k rows projected onto
-the first k columns have the rank of the pivots below column k, so H_k
-is odd exactly when those pivots are the columns 0..k-1.  One pass thus
-gives every order, odd or even, in O(m^3/64) bit operations;
-`first_even_hankel_order` stops it at the first even one.  The pass
-uses only the Hankel entries, so this route stays independent of the
-profile, the recurrences and the continued fraction; the tests check it
-against a per-order elimination and against pivot="col", which they
-check against a Leibniz expansion.  For odd p each order is eliminated
-on its own.  For +-1 integer matrices the fraction-free (Bareiss)
-elimination gives exact integer values.
+Every field reads H_1..H_m from one incremental elimination of the
+rows of H_m.  Row k enters at step k and is reduced by the pivots kept
+so far, in increasing order of pivot column; if anything is left it
+becomes a pivot at its first nonzero column.  Adding multiples of
+earlier rows to a later one changes no leading minor.  If the pivot columns after
+row k-1 are exactly 0..k-1, the first k rows on the first k columns are
+a row-permuted triangular matrix and H_k = sign(sigma_k) times the
+product of the pivot entries, sigma_k mapping each row to its pivot
+column; otherwise H_k = 0.  Once a row reduces to zero, the rows so far
+are dependent and every later order is 0.  Over F2 the rows are packed
+ints and only the parity is kept (`_f2_parities`, O(m^3/64) bit
+operations); `first_even_hankel_order` stops it at the first even
+order.  For odd p (`_mod_p_values`, O(m^3) field operations) the pivot
+rows are scaled to a leading 1 and the sign is kept as a running
+inversion count.  The pass uses only the Hankel entries, so this route
+stays independent of the profile, the recurrences and the continued
+fraction.  The tests check it against pivot="col", a separate
+elimination of each order that they check against a Leibniz expansion,
+and over F2 against a per-order packed elimination.  For +-1 integer
+matrices the fraction-free (Bareiss) elimination gives exact integer
+values.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect, insort
 from dataclasses import dataclass
 
 from plcpkit import _kernels
@@ -53,12 +60,13 @@ class HankelReport:
             raise ValueError("values must cover orders 1..max_order")
 
 
-def _det_mod_p(rows, field: PrimeField, pivot: str = "row") -> int:
-    """Gaussian elimination determinant mod p.
+def _det_mod_p(rows, field: PrimeField) -> int:
+    """Determinant mod p by Gaussian elimination with column pivoting.
 
-    pivot="row" searches down the current column, pivot="col" searches
-    along the current row (swapping columns); both must agree, which the
-    tests use as a pivot-independence check.
+    Each call eliminates one matrix on its own: a zero pivot is replaced
+    by searching along the current row and swapping columns.  This is the
+    per-order route of pivot="col", the tests' oracle for the incremental
+    elimination, which they check against a Leibniz expansion.
     """
     p = field.p
     n = len(rows)
@@ -66,17 +74,11 @@ def _det_mod_p(rows, field: PrimeField, pivot: str = "row") -> int:
     det = 1
     for step in range(n):
         if m[step][step] % p == 0:
-            if pivot == "row":
-                k = next((r for r in range(step + 1, n) if m[r][step] % p), None)
-                if k is None:
-                    return 0
-                m[step], m[k] = m[k], m[step]
-            else:
-                k = next((c for c in range(step + 1, n) if m[step][c] % p), None)
-                if k is None:
-                    return 0
-                for r in range(n):
-                    m[r][step], m[r][k] = m[r][k], m[r][step]
+            k = next((c for c in range(step + 1, n) if m[step][c] % p), None)
+            if k is None:
+                return 0
+            for r in range(n):
+                m[r][step], m[r][k] = m[r][k], m[r][step]
             det = -det
         piv = m[step][step] % p
         det = (det * piv) % p
@@ -89,32 +91,76 @@ def _det_mod_p(rows, field: PrimeField, pivot: str = "row") -> int:
     return det % p
 
 
-def _f2_parities(terms, m):
-    """Yield the parities of H_1..H_m of a 0/1 prefix; see the module docstring."""
+def _f2_rows(terms, m):
+    """The rows of the order-m Hankel matrix of a 0/1 prefix, packed as ints."""
     full = _kernels.pack_bits(terms[: 2 * m - 1])
     mask = (1 << m) - 1
+    return ((full >> k) & mask for k in range(m))
+
+
+def _f2_parities(rows):
+    """Yield the parities of the leading minors of packed F2 rows, in order.
+
+    Bit j of a row is its column j; see the module docstring.
+    """
+    rows = iter(rows)
     pivots = []  # (lowest set bit, row), sorted by that bit
     cols = 0  # union of the pivots' lowest set bits
-    for k in range(m):
-        row = (full >> k) & mask
+    for k, row in enumerate(rows):
         for low, piv in pivots:  # increasing: a pivot only sets bits above its own
             if row & low:
                 row ^= piv
-        if row:
-            low = row & -row
-            insort(pivots, (low, row))
-            cols |= low
+        if not row:  # rows 0..k are dependent: this and every later minor is 0
+            yield 0
+            yield from (0 for _ in rows)
+            return
+        low = row & -row
+        insort(pivots, (low, row))
+        cols |= low
         yield 1 if cols == (2 << k) - 1 else 0
+
+
+def _mod_p_values(rows, field: PrimeField):
+    """Yield the leading minors mod p of residue rows, in order.
+
+    See the module docstring.  A pivot row is kept from its pivot column
+    on, scaled to a leading 1, so a reduction needs no inverse; its
+    original leading entry goes into the running product.
+    """
+    p = field.p
+    rows = iter(rows)
+    pivots = []  # (pivot column, scaled row from that column on), sorted by column
+    det = 1  # sign of the map row -> pivot column, times the leading entries
+    for k, row in enumerate(rows):
+        row = list(row)
+        for col, piv in pivots:  # increasing: a pivot row is zero left of its column
+            f = row[col]
+            if f:
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], piv)]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is None:  # rows 0..k are dependent: this and every later minor is 0
+            yield 0
+            yield from (0 for _ in rows)
+            return
+        lead = row[col]
+        inv = field.inv(lead)
+        at = bisect(pivots, (col,))  # the columns are distinct, so rows never compare
+        pivots.insert(at, (col, [a * inv % p for a in row[col:]]))
+        if (len(pivots) - 1 - at) & 1:  # earlier rows with a later pivot column
+            lead = p - lead
+        det = det * lead % p
+        yield det if pivots[-1][0] == k else 0
 
 
 def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelReport:
     """H_1..H_max_order of an origin-0 prefix, reduced mod p.
 
-    `pivot` selects how a zero pivot is replaced: "row" searches down
-    the column (swapping rows), "col" searches along the row (swapping
-    columns).  Over F2, "row" reads every order from the one incremental
-    elimination of H_max_order; "col" always runs the generic per-order
-    elimination, which the tests use as an oracle.
+    `pivot` selects the route.  "row" reads every order from the one
+    incremental elimination of the rows of H_max_order (see the module
+    docstring), packed over F2.  "col" eliminates each order on its own,
+    replacing a zero pivot by searching along the row and swapping
+    columns, in O(max_order^4) field operations; the tests use it as
+    the oracle of "row".
     """
     if pivot not in ("row", "col"):
         raise ValueError(f"unknown pivot strategy: {pivot!r}")
@@ -126,14 +172,17 @@ def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelRepor
         raise ValueError(
             f"insufficient terms: order {max_order} needs {2 * max_order - 1}, have {len(c)}"
         )
-    if c.field.p == 2 and pivot == "row":
-        values = tuple(_f2_parities(c.terms, max_order))
-    else:
-        t = c.terms
+    t = c.terms
+    if pivot == "col":
         values = tuple(
-            _det_mod_p([t[i : i + n] for i in range(n)], c.field, pivot)
+            _det_mod_p([t[i : i + n] for i in range(n)], c.field)
             for n in range(1, max_order + 1)
         )
+    elif c.field.p == 2:
+        values = tuple(_f2_parities(_f2_rows(t, max_order)))
+    else:
+        m = max_order
+        values = tuple(_mod_p_values((t[k : k + m] for k in range(m)), c.field))
     return HankelReport(
         modulus=c.field.p,
         values=values,
@@ -154,7 +203,7 @@ def first_even_hankel_order(c: CoeffSeq) -> int | None:
         raise ValueError("Hankel parities are defined over F2")
     if c.origin != 0:
         raise ValueError("expects an origin-0 sequence; use shift_index(0)")
-    parities = _f2_parities(c.terms, (len(c) + 1) // 2)
+    parities = _f2_parities(_f2_rows(c.terms, (len(c) + 1) // 2))
     return next((n for n, odd in enumerate(parities, start=1) if not odd), None)
 
 

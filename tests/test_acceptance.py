@@ -283,13 +283,15 @@ def test_criterion_10_differential_and_round_trip_suites():
     problems = []
     rng = random.Random(10)
 
-    # packed F2 elimination vs generic elimination (column pivoting)
-    for _ in range(40):
-        m = rng.randrange(1, 100)
-        c = CoeffSeq(GF2, [rng.randrange(2) for _ in range(2 * m - 1)], origin=0)
-        if hankel_mod_p(c, m, pivot="row").values != hankel_mod_p(c, m, pivot="col").values:
-            problems.append(f"hankel pivot disagreement at order {m}")
-            break
+    # one incremental elimination (packed over F2) vs a column-pivoted
+    # elimination of each order
+    for p, trials, top in ((2, 40, 100), (3, 10, 41), (5, 10, 41), (7, 10, 41)):
+        for _ in range(trials):
+            m = rng.randrange(1, top)
+            c = CoeffSeq(PrimeField(p), [rng.randrange(p) for _ in range(2 * m - 1)], origin=0)
+            if hankel_mod_p(c, m, pivot="row").values != hankel_mod_p(c, m, pivot="col").values:
+                problems.append(f"hankel pivot disagreement over F{p} at order {m}")
+                break
 
     # old-vs-new differentials on the packed kernels: the profile against the
     # generic Berlekamp-Massey, the continued fraction against the
@@ -352,8 +354,8 @@ def test_criterion_10_differential_and_round_trip_suites():
     _check(
         10,
         not problems,
-        "pivot and old-vs-new differentials, u/v round trips, cf reconstruction over "
-        "F2/F3/F5, and file round trips all exact"
+        "hankel pivot differentials over F2/F3/F5/F7, old-vs-new differentials, u/v "
+        "round trips, cf reconstruction over F2/F3/F5, and file round trips all exact"
         if not problems
         else "; ".join(problems),
     )

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import random
 
 import pytest
 from hankel_oracle import hankel_parities
 
 from plcpkit import cli
 from plcpkit.field import GF2, CoeffSeq, PrimeField, dumps_sequence, write_sequence
+from plcpkit.hankel import hankel_mod_p
 from plcpkit.seqgen import BitSource, phi2_selector, rueppel
 
 
@@ -156,6 +158,29 @@ def test_hankel_table_past_the_first_even_order(capsys, tmp_path):
     assert lines[:2] == ["hankel determinants (mod 2), orders 1..64", "n\tvalue\todd"]
     assert lines[2:] == ["\t".join(row) for row in rows]
     csv_path = tmp_path / "flip.csv"
+    rc, out, err = run(
+        capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "64", "--csv", str(csv_path)
+    )
+    assert rc == 0 and out == ""
+    with open(csv_path, newline="") as fh:
+        assert list(csv.reader(fh)) == [["n", "value", "odd"]] + [list(row) for row in rows]
+
+
+def test_hankel_table_over_f5(capsys, tmp_path):
+    # c_0 = 0 makes H_1 = 0; nonzero and zero orders follow it up to --max
+    rng = random.Random(14)
+    seq = CoeffSeq(PrimeField(5), [rng.randrange(5) for _ in range(127)], origin=0)
+    seq_path = tmp_path / "f5.seq"
+    write_sequence(seq, seq_path)
+    values = hankel_mod_p(seq, 64, pivot="col").values
+    assert values[0] == 0 and 0 < values.count(0) < 32
+    rows = [(str(n), str(v), "-") for n, v in enumerate(values, start=1)]
+    rc, out, err = run(capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "64")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["hankel determinants (mod 5), orders 1..64", "n\tvalue\todd"]
+    assert lines[2:] == ["\t".join(row) for row in rows]
+    csv_path = tmp_path / "f5.csv"
     rc, out, err = run(
         capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "64", "--csv", str(csv_path)
     )

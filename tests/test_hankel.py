@@ -1,8 +1,8 @@
 """Hankel determinant checks against a permutation-expansion oracle.
 
-Over F2, `hankel_mod_p` and `first_even_hankel_order` read one
-incremental elimination; the per-order eliminations
-(`hankel_oracle.hankel_parities`, pivot="col") are its oracles here.
+`hankel_mod_p` and `first_even_hankel_order` read one incremental
+elimination for every field; the per-order eliminations (pivot="col",
+and over F2 `hankel_oracle.hankel_parities`) are its oracles here.
 """
 
 import itertools
@@ -17,6 +17,8 @@ from plcpkit.field import CoeffSeq, PrimeField
 from plcpkit.hankel import (
     ApwwResult,
     HankelReport,
+    _f2_parities,
+    _mod_p_values,
     apww_check,
     first_even_hankel_order,
     hankel_integer_pm1,
@@ -51,9 +53,9 @@ def hankel_rows(entries, n):
     return [list(entries[i : i + n]) for i in range(n)]
 
 
-mod_p_inputs = st.sampled_from([2, 3, 5]).flatmap(
+mod_p_inputs = st.sampled_from([2, 3, 5, 7]).flatmap(
     lambda p: st.tuples(
-        st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=9)
+        st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=11)
     )
 )
 
@@ -72,11 +74,23 @@ def test_mod_p_matches_permutation_expansion(pt):
 
 @given(mod_p_inputs)
 def test_pivot_strategies_agree(pt):
-    # over F2 this doubles as packed-kernel vs generic-elimination cross-check
+    # the incremental elimination (packed over F2) against the per-order one
     p, terms = pt
     c = CoeffSeq(PrimeField(p), terms, origin=0)
     m = (len(terms) + 1) // 2
     assert hankel_mod_p(c, m, pivot="row").values == hankel_mod_p(c, m, pivot="col").values
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.data())
+def test_row_passes_read_the_leading_minors_of_any_matrix(p, n, data):
+    # the passes take rows, not Hankel terms, so any square matrix will do
+    cells = st.sampled_from([0] * (p - 1) + list(range(1, p)))  # half zeros
+    rows = [data.draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(n)]
+    minors = [perm_det([r[:k] for r in rows[:k]]) % p for k in range(1, n + 1)]
+    if p == 2:
+        packed = [sum(b << j for j, b in enumerate(r)) for r in rows]
+        assert list(_f2_parities(packed)) == minors
+    assert list(_mod_p_values(rows, PrimeField(p))) == minors
 
 
 def test_unknown_pivot_rejected():
@@ -208,6 +222,61 @@ def test_one_pass_matches_per_order_eliminations(bits, data):
     k = data.draw(st.integers(1, m))
     values = hankel_mod_p(c, k).values
     assert values == hankel_mod_p(c, k, pivot="col").values == tuple(per_order[:k])
+
+
+@st.composite
+def odd_p_prefixes(draw):
+    # leading-zero runs, all-zero and zero-heavy prefixes give zero orders
+    # before nonzero ones; in a periodic prefix the rank stops growing, so
+    # a row reduces to zero and every later order is 0
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    n = draw(st.integers(1, 61))
+    zeros = min(draw(st.sampled_from([0, 1, 2, 5, n])), n)
+    kind = draw(st.sampled_from(["random", "zero-heavy", "periodic"]))
+    if kind == "periodic":
+        period = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))
+        body = [period[i % len(period)] for i in range(n - zeros)]
+    else:
+        term = st.integers(0, p - 1)
+        if kind == "zero-heavy":
+            term = st.sampled_from([0] * (p - 1) + list(range(1, p)))
+        body = draw(st.lists(term, min_size=n - zeros, max_size=n - zeros))
+    return p, [0] * zeros + body
+
+
+@given(odd_p_prefixes(), st.data())
+def test_odd_p_one_pass_matches_per_order_eliminations(pt, data):
+    p, terms = pt
+    c = CoeffSeq(PrimeField(p), terms, origin=0)
+    m = (len(terms) + 1) // 2
+    per_order = hankel_mod_p(c, m, pivot="col").values
+    assert hankel_mod_p(c, m).values == per_order
+    # a smaller max_order slices shorter rows
+    k = data.draw(st.integers(1, m))
+    assert hankel_mod_p(c, k).values == per_order[:k]
+
+
+def test_odd_p_rank_collapse_and_late_nonzero_orders():
+    # period 3 over F5: rank 3, so row 3 reduces to zero and H_4.. are 0
+    c = CoeffSeq(PrimeField(5), [1, 2, 4] * 7, origin=0)
+    values = hankel_mod_p(c, 11).values
+    assert values == hankel_mod_p(c, 11, pivot="col").values
+    assert values[3:] == (0,) * 8 and values[2] != 0
+    # c_0 = 0 makes H_1 = 0, and H_2 = -c_1^2 is not
+    c = CoeffSeq(PrimeField(7), [0, 3, 1, 5, 2, 6, 4, 1, 1], origin=0)
+    values = hankel_mod_p(c, 5).values
+    assert values == hankel_mod_p(c, 5, pivot="col").values
+    assert values[:2] == (0, -9 % 7)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_odd_p_one_pass_at_order_64(p):
+    # the shape of the benchmark's calls: a random length-256 prefix, m = 64
+    rng = random.Random(p)
+    c = CoeffSeq(PrimeField(p), [rng.randrange(p) for _ in range(256)], origin=0)
+    values = hankel_mod_p(c, 64).values
+    assert values == hankel_mod_p(c, 64, pivot="col").values
+    assert 0 < values.count(0) < 64
 
 
 def test_per_order_oracle_input_validation():
