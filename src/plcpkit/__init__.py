@@ -20,8 +20,6 @@ from plcpkit.field import (
     poly_divmod,
     poly_gcd,
     read_sequence,
-    series_derivative,
-    series_inverse,
     write_sequence,
 )
 from plcpkit.seqgen import (

@@ -47,26 +47,6 @@ def lcp_profile(bits):
     return prof
 
 
-def _inv_packed(u, prec):
-    # long division of 1 by u (constant term 1), mod x^prec
-    r, e = 1, 0
-    for i in range(prec):
-        if r & 1:
-            e |= 1 << i
-            r ^= u
-        r >>= 1
-    return e
-
-
-def series_inverse(bits):
-    """Inverse of a unit power series given as a coefficient list."""
-    prec = len(bits)
-    if prec == 0 or not bits[0]:
-        raise ValueError("constant term must be 1")
-    u = pack_bits(bits)
-    return unpack_bits(_inv_packed(u, prec), prec)
-
-
 def _divmod_packed(a, b):
     # polynomial division over F2; b != 0
     db = b.bit_length()

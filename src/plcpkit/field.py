@@ -21,8 +21,6 @@ __all__ = [
     "TruncSeries",
     "poly_divmod",
     "poly_gcd",
-    "series_inverse",
-    "series_derivative",
     "SequenceFormatError",
     "loads_sequence",
     "dumps_sequence",
@@ -464,40 +462,6 @@ class TruncSeries:
         head = ",".join(map(str, self.coeffs[:12]))
         tail = ",..." if self.precision > 12 else ""
         return f"TruncSeries(F{self.field.p}, [{head}{tail}], prec={self.precision}, {self.direction})"
-
-
-def series_inverse(f: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse mod x^precision; needs a unit constant term."""
-    if f.precision == 0:
-        raise ValueError("cannot invert a series with no known coefficients")
-    if f.coeffs[0] == 0:
-        raise ValueError("series has zero constant term, not invertible")
-    if f.field.p == 2:
-        from plcpkit import _kernels
-
-        return TruncSeries(
-            f.field, _kernels.series_inverse(list(f.coeffs)), f.precision, f.direction
-        )
-    p = f.field.p
-    f0i = f.field.inv(f.coeffs[0])
-    inv = [f0i]
-    for m in range(1, f.precision):
-        s = 0
-        for i in range(1, m + 1):
-            fi = f.coeffs[i]
-            if fi:
-                s += fi * inv[m - i]
-        inv.append((-f0i * s) % p)
-    return TruncSeries(f.field, inv, f.precision, f.direction)
-
-
-def series_derivative(f: TruncSeries) -> TruncSeries:
-    """Formal derivative; one coefficient of precision is honestly lost."""
-    if f.precision == 0:
-        raise ValueError("cannot differentiate a series with no known coefficients")
-    p = f.field.p
-    out = [((i + 1) * c) % p for i, c in enumerate(f.coeffs[1:])]
-    return TruncSeries(f.field, out, f.precision - 1, f.direction)
 
 
 # ---------------------------------------------------------------------------

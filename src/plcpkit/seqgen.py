@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from plcpkit.field import GF2, CoeffSeq, DensePoly, TruncSeries, series_inverse
+from plcpkit import _kernels
+from plcpkit.field import GF2, CoeffSeq
 
 __all__ = [
     "BitSource",
@@ -227,20 +228,28 @@ def phi1_jacobi(b: BitSource, n: int) -> CoeffSeq:
     """Coefficients of the Jacobi-style continued fraction
     1/(1 + b_0 x + x^2/(1 + b_1 x + x^2/(...))), origin 0.
 
-    The tower is evaluated bottom-up to depth ceil(n/2) + 1, which pins
-    the first n coefficients exactly, then expanded as a power series.
+    The tower num/den is evaluated bottom-up to depth ceil(n/2) + 1,
+    which pins the first n coefficients exactly, on packed ints (bit i
+    is the coefficient of x^i): each level is den' = (1 + b_j x) den +
+    x^2 num, num' = den.  One long division of num by den from the low
+    end, mod x^n, then gives the terms.  Both steps are O(n^2/64) bit
+    operations.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
     depth = (n + 1) // 2 + 1
     stream = b.take(depth)
-    num, den = DensePoly.zero(GF2), DensePoly.one(GF2)
-    x2 = DensePoly(GF2, (0, 0, 1))
+    num, den = 0, 1
     for bj in reversed(stream):
-        num, den = den, DensePoly(GF2, (1, bj)) * den + x2 * num
-    inv = series_inverse(TruncSeries(GF2, den.coeffs, n))
-    prod = inv * TruncSeries(GF2, num.coeffs, n)
-    return CoeffSeq(GF2, prod.coeffs, origin=0)
+        num, den = den, den ^ (den << 1 if bj else 0) ^ (num << 2)
+    # den has constant term 1, so each step fixes one coefficient
+    quotient = 0
+    for i in range(n):
+        if num & 1:
+            quotient |= 1 << i
+            num ^= den
+        num >>= 1
+    return CoeffSeq(GF2, _kernels.unpack_bits(quotient, n), origin=0)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,13 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given, strategies as st
+from phi1_oracle import phi1_tower
 
-from plcpkit.field import GF2, CoeffSeq
+from plcpkit.cfrac import laurent_cf
+from plcpkit.field import GF2, CoeffSeq, DensePoly
+from plcpkit.lincomplex import is_plcp, lcp_profile
 from plcpkit.seqgen import (
     NAMED_SEQUENCES,
     BitSource,
@@ -111,16 +117,56 @@ def test_phi2_selector_consumes_prefix_only():
 
 def test_phi1_expansion_has_prescribed_quotients():
     # the defining property: partial quotient j of the expansion is t + b_j
-    from plcpkit.cfrac import laurent_cf
-    from plcpkit.field import DensePoly
-
-    for spec in ("random:3", "periodic::10", "literal:" + "011010011001011010" * 2):
+    specs = ("random:3", "periodic::10", "literal:" + "011010011001011010" * 57)
+    for spec, n in itertools.product(specs, (64, 2048)):
         b = BitSource.parse(spec)
-        s = phi1_jacobi(b, 64).shift_index(1)
+        s = phi1_jacobi(b, n).shift_index(1)
         cf = laurent_cf(s)
-        assert cf.guaranteed_count >= 30
+        assert cf.guaranteed_count == n // 2
+        stream = b.take(cf.guaranteed_count)
         for j in range(cf.guaranteed_count):
-            assert cf.quotients[j] == DensePoly(GF2, (b.bit(j), 1)), (spec, j)
+            assert cf.quotients[j] == DensePoly(GF2, (stream[j], 1)), (spec, j)
+
+
+def test_phi1_at_length_8192_is_perfect():
+    s = phi1_jacobi(BitSource.seeded(8192), 8192).shift_index(1)
+    assert is_plcp(lcp_profile(s))
+    cf = laurent_cf(s)
+    assert cf.guaranteed_count == 4096
+    assert cf.degrees() == (1,) * 4096
+
+
+def test_phi1_matches_tower_oracle_on_every_literal():
+    # every stream of the depth that length n reads, for every n <= 14
+    for n in range(1, 15):
+        depth = (n + 1) // 2 + 1
+        for bits in itertools.product((0, 1), repeat=depth):
+            b = BitSource.literal(bits)
+            assert phi1_jacobi(b, n) == phi1_tower(b, n), (n, bits)
+
+
+def test_phi1_matches_tower_oracle_on_seeded_and_periodic_sources():
+    sources = [BitSource.seeded(seed) for seed in range(200)]
+    sources += [BitSource.parse(spec) for spec in ("periodic::1", "periodic::10", "periodic:1:001")]
+    for b in sources:
+        for n in (1, 2, 3, 7, 64, 129):
+            assert phi1_jacobi(b, n) == phi1_tower(b, n), (b, n)
+
+
+def test_phi1_matches_tower_oracle_at_length_2048():
+    b = BitSource.seeded(2048)
+    assert phi1_jacobi(b, 2048) == phi1_tower(b, 2048)
+
+
+def test_phi1_reads_the_same_bits_as_the_tower():
+    # depth ceil(n/2) + 1: a literal one bit short fails the same way
+    msg = "literal bit source exhausted at index 1 (have 1)"
+    for gen in (phi1_jacobi, phi1_tower):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            gen(BitSource.literal("1"), 8)
+    assert phi1_jacobi(BitSource.literal("10110"), 8) == phi1_tower(BitSource.literal("10110"), 8)
+    with pytest.raises(ValueError, match="exhausted at index 4"):
+        phi1_jacobi(BitSource.literal("1011"), 8)
 
 
 def test_named_registry():
