@@ -159,14 +159,12 @@ def test_phi1_matches_tower_oracle_at_length_2048():
 
 
 def test_phi1_reads_the_same_bits_as_the_tower():
-    # depth ceil(n/2) + 1: a literal one bit short fails the same way
-    msg = "literal bit source exhausted at index 1 (have 1)"
-    for gen in (phi1_jacobi, phi1_tower):
-        with pytest.raises(ValueError, match=re.escape(msg)):
-            gen(BitSource.literal("1"), 8)
-    assert phi1_jacobi(BitSource.literal("10110"), 8) == phi1_tower(BitSource.literal("10110"), 8)
-    with pytest.raises(ValueError, match="exhausted at index 4"):
-        phi1_jacobi(BitSource.literal("1011"), 8)
+    # depth ceil(n/2) + 1 = 5 at n = 8: literals of one and four bits run out
+    for bits in ("1", "1011"):
+        msg = f"literal bit source exhausted at index {len(bits)} (have {len(bits)})"
+        for gen in (phi1_jacobi, phi1_tower):
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                gen(BitSource.literal(bits), 8)
 
 
 def test_named_registry():
