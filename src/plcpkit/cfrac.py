@@ -11,18 +11,26 @@ order t^{-(2D+d)}.  So a quotient is recorded as *guaranteed* only while
 2(D + d) <= N, which is exactly the range the input pins down.  At the
 cut-off the next quotient has degree d if 2D + d <= N and at least
 N - 2D + 1 otherwise, as it does when the remainder vanishes: in both
-cases `next_degree_bound` is min(d, N - 2D + 1).  Over F2 the packed
-`_kernels.laurent_cf` runs this on Python ints; for odd p one DensePoly
-Euclid serves both `laurent_cf` and `rational_cf`.  Quotients are
-stored monic with the stripped leading units kept alongside.
+cases `next_degree_bound` is min(d, N - 2D + 1).  One Euclid loop,
+`_euclid`, does this for every field: on packed ints over F2, and on
+`DensePoly` for odd p and for the exact expansion of `rational_cf`.
+Quotients are stored monic with the stripped leading units kept
+alongside; over F2 every unit is 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from plcpkit import _kernels
-from plcpkit.field import CoeffSeq, DensePoly, PrimeField, poly_divmod, poly_gcd
+from plcpkit.field import (
+    CoeffSeq,
+    DensePoly,
+    PrimeField,
+    pack_bits,
+    poly_divmod,
+    poly_gcd,
+    unpack_bits,
+)
 from plcpkit.lincomplex import LCProfile
 
 __all__ = [
@@ -93,28 +101,49 @@ class ConvergentPair:
     q: DensePoly
 
 
-def _euclid(num: DensePoly, den: DensePoly, n: int | None = None):
-    """Monic partial quotients, their units and the next-degree bound of
-    num/den, deg den < deg num, by the division algorithm.
+def _divmod_packed(a: int, b: int):
+    """Quotient and remainder of F2 polynomials packed as ints, b != 0."""
+    db = b.bit_length()
+    q = 0
+    while (shift := a.bit_length() - db) >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
 
-    With n None the expansion runs to its end and the bound is None;
-    otherwise num/den stands for a series known modulo t^{-(n+1)} and
-    the quotients stop at the cut-off in the module docstring.
+
+def _size(a: DensePoly) -> int:
+    """Degree plus one, 0 for zero: the `DensePoly` twin of int.bit_length."""
+    return len(a.coeffs)
+
+
+def _euclid(num, den, n: int | None, divmod_, size):
+    """Partial quotients of num/den, deg den < deg num, by the division
+    algorithm, and the next-degree bound.
+
+    The polynomials are `DensePoly` (divmod_ = poly_divmod, size =
+    `_size`) or F2 polynomials packed as ints (`_divmod_packed`,
+    int.bit_length); size(a) is deg a + 1.  With n None the expansion
+    runs to its end and the bound is None; otherwise num/den stands for
+    a series known modulo t^{-(n+1)} and the quotients stop at the
+    cut-off in the module docstring.
     """
-    monics = []
-    units = []
+    quotients = []
     total = 0  # sum of the kept degrees
-    while not den.is_zero:
-        d = num.degree - den.degree
+    while den:
+        d = size(num) - size(den)
         if n is not None and 2 * (total + d) > n:
-            return monics, units, min(d, n - 2 * total + 1)
-        q, rem = poly_divmod(num, den)
-        unit, monic = q.monic()
-        monics.append(monic)
-        units.append(unit)
+            return quotients, min(d, n - 2 * total + 1)
+        q, rem = divmod_(num, den)
+        quotients.append(q)
         total += d
         num, den = den, rem
-    return monics, units, None if n is None else n - 2 * total + 1
+    return quotients, None if n is None else n - 2 * total + 1
+
+
+def _monic_parts(quotients):
+    """The leading units and the monic parts of `DensePoly` quotients."""
+    parts = [q.monic() for q in quotients]
+    return tuple(u for u, _ in parts), tuple(m for _, m in parts)
 
 
 def laurent_cf(s: CoeffSeq) -> ContinuedFraction:
@@ -122,20 +151,23 @@ def laurent_cf(s: CoeffSeq) -> ContinuedFraction:
     if s.origin != 1:
         raise ValueError("expects an origin-1 sequence; use shift_index(1)")
     fld = s.field
+    n = len(s.terms)
     if fld.p == 2:
-        packed, bound = _kernels.laurent_cf(list(s.terms))
-        monics = [DensePoly(fld, _kernels.unpack_bits(q, q.bit_length())) for q in packed]
-        units = [1] * len(monics)
-    else:
-        n = len(s.terms)
-        monics, units, bound = _euclid(
-            DensePoly.monomial(fld, n), DensePoly(fld, s.terms[::-1]), n
+        packed, bound = _euclid(
+            1 << n, pack_bits(s.terms[::-1]), n, _divmod_packed, int.bit_length
         )
+        monics = tuple(DensePoly(fld, unpack_bits(q, q.bit_length())) for q in packed)
+        units = (1,) * len(monics)
+    else:
+        quotients, bound = _euclid(
+            DensePoly.monomial(fld, n), DensePoly(fld, s.terms[::-1]), n, poly_divmod, _size
+        )
+        units, monics = _monic_parts(quotients)
     return ContinuedFraction(
         field=fld,
         integer_part=DensePoly.zero(fld),
-        quotients=tuple(monics),
-        units=tuple(units),
+        quotients=monics,
+        units=units,
         guaranteed_count=len(monics),
         next_degree_bound=bound,
     )
@@ -148,12 +180,13 @@ def rational_cf(f: DensePoly, g: DensePoly) -> ContinuedFraction:
     if g.is_zero:
         raise ZeroDivisionError("zero denominator")
     a0, rem = poly_divmod(f, g)
-    monics, units, _ = _euclid(g, rem)
+    quotients, _ = _euclid(g, rem, None, poly_divmod, _size)
+    units, monics = _monic_parts(quotients)
     return ContinuedFraction(
         field=f.field,
         integer_part=a0,
-        quotients=tuple(monics),
-        units=tuple(units),
+        quotients=monics,
+        units=units,
         guaranteed_count=len(monics),
         next_degree_bound=None,
     )

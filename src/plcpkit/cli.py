@@ -12,8 +12,7 @@ import csv
 import json
 import sys
 
-from plcpkit import __version__
-from plcpkit._kernels import backend_name
+from plcpkit import __version__, backend_name
 from plcpkit.automata import as_kernel_input, kernel_explore
 from plcpkit.cfrac import has_flat_expansion, laurent_cf, max_pq_degree, orthogonal_multiplicity
 from plcpkit.field import (

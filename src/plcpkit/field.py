@@ -6,6 +6,8 @@ coefficients ascending by degree with no trailing zeros, `CoeffSeq` is a
 finite sequence prefix with an explicit index origin (0 or 1), and
 `TruncSeries` is a truncated power series that records how many
 coefficients are actually known instead of silently inventing zeros.
+The F2 fast paths use ints as bit vectors; `pack_bits` and
+`unpack_bits` convert between those and 0/1 lists.
 """
 
 from __future__ import annotations
@@ -275,6 +277,21 @@ def poly_gcd(a: DensePoly, b: DensePoly) -> DensePoly:
     return a.monic()[1]
 
 
+def pack_bits(bits) -> int:
+    """A 0/1 list as an int, bit i = bits[i] (over F2, the coefficient of x^i)."""
+    if not bits:
+        return 0
+    return int("".join("1" if b else "0" for b in reversed(bits)), 2)
+
+
+def unpack_bits(x: int, n: int) -> list:
+    """Bits 0..n-1 of x as a 0/1 list; the inverse of `pack_bits`."""
+    if n <= 0:
+        return []
+    s = format(x & ((1 << n) - 1), f"0{n}b")
+    return [1 if c == "1" else 0 for c in reversed(s)]
+
+
 class CoeffSeq:
     """Finite sequence prefix over F_p with index origin 0 or 1.
 
@@ -354,18 +371,6 @@ class TruncSeries:
         self.direction = direction
 
     @classmethod
-    def from_coeffseq(cls, seq: CoeffSeq) -> "TruncSeries":
-        """View a sequence prefix as a series.
-
-        Origin 0 gives the generating function sum c_n t^n known mod
-        t^N; origin 1 gives the Laurent tail sum s_n t^{-n}, recorded in
-        x = 1/t with a zero constant term and precision N + 1.
-        """
-        if seq.origin == 0:
-            return cls(seq.field, seq.terms, len(seq.terms), "power")
-        return cls(seq.field, (0,) + seq.terms, len(seq.terms) + 1, "laurent-tail")
-
-    @classmethod
     def constant(cls, field, value, precision, direction="power"):
         return cls(field, (value,), precision, direction)
 
@@ -428,18 +433,6 @@ class TruncSeries:
         return TruncSeries(
             self.field, (0,) * k + self.coeffs, self.precision + k, self.direction
         )
-
-    def truncate(self, precision: int):
-        if precision > self.precision:
-            raise ValueError("cannot extend precision by truncation")
-        return TruncSeries(self.field, self.coeffs[:precision], precision, self.direction)
-
-    def valuation(self):
-        """Index of the first known nonzero coefficient, or None."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
 
     def agrees_with(self, other) -> bool:
         """Equality on the common known range."""

@@ -19,11 +19,12 @@ order.  For odd p (`_mod_p_values`, O(m^3) field operations) the pivot
 rows are scaled to a leading 1 and the sign is kept as a running
 inversion count.  The pass uses only the Hankel entries, so this route
 stays independent of the profile, the recurrences and the continued
-fraction.  The tests check it against pivot="col", a separate
-elimination of each order that they check against a Leibniz expansion,
-and over F2 against a per-order packed elimination.  For +-1 integer
-matrices the fraction-free (Bareiss) elimination gives exact integer
-values.
+fraction.  It is the one route in the package; the tests check it
+against the eliminations it replaced, kept in `tests/hankel_oracle.py`:
+a column-pivoted elimination of each order on its own, which they
+check against a Leibniz expansion, and over F2 a per-order packed
+elimination.  For +-1 integer matrices the fraction-free (Bareiss)
+elimination gives exact integer values.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from __future__ import annotations
 from bisect import bisect, insort
 from dataclasses import dataclass
 
-from plcpkit import _kernels
-from plcpkit.field import CoeffSeq, PrimeField
+from plcpkit.field import CoeffSeq, PrimeField, pack_bits
 
 __all__ = [
     "HankelReport",
@@ -60,40 +60,9 @@ class HankelReport:
             raise ValueError("values must cover orders 1..max_order")
 
 
-def _det_mod_p(rows, field: PrimeField) -> int:
-    """Determinant mod p by Gaussian elimination with column pivoting.
-
-    Each call eliminates one matrix on its own: a zero pivot is replaced
-    by searching along the current row and swapping columns.  This is the
-    per-order route of pivot="col", the tests' oracle for the incremental
-    elimination, which they check against a Leibniz expansion.
-    """
-    p = field.p
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = 1
-    for step in range(n):
-        if m[step][step] % p == 0:
-            k = next((c for c in range(step + 1, n) if m[step][c] % p), None)
-            if k is None:
-                return 0
-            for r in range(n):
-                m[r][step], m[r][k] = m[r][k], m[r][step]
-            det = -det
-        piv = m[step][step] % p
-        det = (det * piv) % p
-        inv = field.inv(piv)
-        for r in range(step + 1, n):
-            f = (m[r][step] * inv) % p
-            if f:
-                for c in range(step, n):
-                    m[r][c] = (m[r][c] - f * m[step][c]) % p
-    return det % p
-
-
 def _f2_rows(terms, m):
     """The rows of the order-m Hankel matrix of a 0/1 prefix, packed as ints."""
-    full = _kernels.pack_bits(terms[: 2 * m - 1])
+    full = pack_bits(terms[: 2 * m - 1])
     mask = (1 << m) - 1
     return ((full >> k) & mask for k in range(m))
 
@@ -152,18 +121,13 @@ def _mod_p_values(rows, field: PrimeField):
         yield det if pivots[-1][0] == k else 0
 
 
-def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelReport:
+def hankel_mod_p(c: CoeffSeq, max_order: int) -> HankelReport:
     """H_1..H_max_order of an origin-0 prefix, reduced mod p.
 
-    `pivot` selects the route.  "row" reads every order from the one
-    incremental elimination of the rows of H_max_order (see the module
-    docstring), packed over F2.  "col" eliminates each order on its own,
-    replacing a zero pivot by searching along the row and swapping
-    columns, in O(max_order^4) field operations; the tests use it as
-    the oracle of "row".
+    Every order comes from the one incremental elimination of the rows
+    of H_max_order (see the module docstring): packed parities over F2,
+    residues for odd p.
     """
-    if pivot not in ("row", "col"):
-        raise ValueError(f"unknown pivot strategy: {pivot!r}")
     if c.origin != 0:
         raise ValueError("expects an origin-0 sequence; use shift_index(0)")
     if max_order < 1:
@@ -172,16 +136,10 @@ def hankel_mod_p(c: CoeffSeq, max_order: int, pivot: str = "row") -> HankelRepor
         raise ValueError(
             f"insufficient terms: order {max_order} needs {2 * max_order - 1}, have {len(c)}"
         )
-    t = c.terms
-    if pivot == "col":
-        values = tuple(
-            _det_mod_p([t[i : i + n] for i in range(n)], c.field)
-            for n in range(1, max_order + 1)
-        )
-    elif c.field.p == 2:
-        values = tuple(_f2_parities(_f2_rows(t, max_order)))
+    t, m = c.terms, max_order
+    if c.field.p == 2:
+        values = tuple(_f2_parities(_f2_rows(t, m)))
     else:
-        m = max_order
         values = tuple(_mod_p_values((t[k : k + m] for k in range(m)), c.field))
     return HankelReport(
         modulus=c.field.p,

@@ -2,9 +2,11 @@
 
 L(n) is the length of the shortest linear recurrence generating the
 first n terms; the zero prefix has L = 0 and a sequence with no shorter
-relation has L = n.  Profiles are produced incrementally; a direct
-search (`lc_bruteforce`) over the definition serves as the independent
-oracle and never sees the incremental algorithm's state.
+relation has L = n.  Profiles are produced incrementally by one
+algorithm, Berlekamp-Massey: `BerlekampMassey` over any F_p, and over
+F2 the same synthesis on packed ints (`_f2_profile`).  A direct search
+(`lc_bruteforce`) over the definition serves as the independent oracle
+and never sees the incremental algorithm's state.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from plcpkit import _kernels
 from plcpkit.field import CoeffSeq, DensePoly, GF2, PrimeField
 
 __all__ = [
@@ -144,12 +145,36 @@ class BerlekampMassey:
         )
 
 
+def _f2_profile(bits):
+    """L(1..N) of a 0/1 list: `BerlekampMassey` over F2 on packed ints."""
+    prof = []
+    c = 1  # connection polynomial, bit i = coeff of x^i, c(0) = 1
+    b = 1  # previous connection polynomial
+    l = 0
+    m = 1  # steps since the last length change
+    w = 0  # window, bit i = bits[n - i]
+    for n, s in enumerate(bits):
+        w = (w << 1) | (1 if s else 0)
+        if (c & w).bit_count() & 1:
+            if 2 * l <= n:
+                c, b = c ^ (b << m), c
+                l = n + 1 - l
+                m = 1
+            else:
+                c ^= b << m
+                m += 1
+        else:
+            m += 1
+        prof.append(l)
+    return prof
+
+
 def lcp_profile(s: CoeffSeq) -> LCProfile:
     """Profile L(1..N) of an origin-1 sequence."""
     if s.origin != 1:
         raise ValueError("profile expects an origin-1 sequence; use shift_index(1)")
     if s.field.p == 2:
-        return LCProfile(s.field, tuple(_kernels.lcp_profile(list(s.terms))))
+        return LCProfile(s.field, tuple(_f2_profile(s.terms)))
     bm = BerlekampMassey(s.field)
     return LCProfile(s.field, tuple(bm.push(t) for t in s.terms))
 
@@ -269,8 +294,7 @@ def expected_lc_exhaustive(n: int) -> Fraction:
     if n > 16:
         raise ValueError("exhaustive bound exceeded (n <= 16)")
     total = 0
-    profile = _kernels.lcp_profile
     for x in range(1 << n):
         bits = [(x >> i) & 1 for i in range(n)]
-        total += profile(bits)[-1]
+        total += _f2_profile(bits)[-1]
     return Fraction(total, 1 << n)

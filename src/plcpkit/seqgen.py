@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from plcpkit import _kernels
-from plcpkit.field import GF2, CoeffSeq
+from plcpkit.field import GF2, CoeffSeq, unpack_bits
 
 __all__ = [
     "BitSource",
@@ -249,7 +248,7 @@ def phi1_jacobi(b: BitSource, n: int) -> CoeffSeq:
             quotient |= 1 << i
             num ^= den
         num >>= 1
-    return CoeffSeq(GF2, _kernels.unpack_bits(quotient, n), origin=0)
+    return CoeffSeq(GF2, unpack_bits(quotient, n), origin=0)
 
 
 @lru_cache(maxsize=None)

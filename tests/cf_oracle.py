@@ -12,9 +12,8 @@ about 1.6 s.  The series inverse is also what `phi1_oracle.py` expands
 the `DensePoly` Jacobi tower with.
 """
 
-from plcpkit import _kernels
 from plcpkit.cfrac import ContinuedFraction
-from plcpkit.field import CoeffSeq, DensePoly, TruncSeries
+from plcpkit.field import CoeffSeq, DensePoly, TruncSeries, pack_bits, unpack_bits
 
 
 def _inv_packed(u, prec):
@@ -35,8 +34,8 @@ def series_inverse(f: TruncSeries) -> TruncSeries:
     if f.coeffs[0] == 0:
         raise ValueError("series has zero constant term, not invertible")
     if f.field.p == 2:
-        inv = _inv_packed(_kernels.pack_bits(f.coeffs), f.precision)
-        coeffs = _kernels.unpack_bits(inv, f.precision)
+        inv = _inv_packed(pack_bits(f.coeffs), f.precision)
+        coeffs = unpack_bits(inv, f.precision)
         return TruncSeries(f.field, coeffs, f.precision, f.direction)
     p = f.field.p
     f0i = f.field.inv(f.coeffs[0])

@@ -1,12 +1,17 @@
-"""Per-order F2 Hankel parities, the oracle for the incremental elimination.
+"""Per-order Hankel determinants, the oracles for the incremental elimination.
 
-This is the packed kernel `hankel_mod_p` used over F2 before one
-incremental elimination replaced it: each order n is its own
-row-pivoted elimination of the packed H_n (O(m^4/64) bit operations for
-orders 1..m), so no order depends on the pivots of another.
+These are the routes `hankel_mod_p` took before one incremental
+elimination replaced them.  Each order n is its own elimination of H_n,
+so no order depends on the pivots of another:
+
+- `order_parity` / `hankel_parities`: a row-pivoted elimination of the
+  packed F2 matrix, O(m^4/64) bit operations for orders 1..m;
+- `det_mod_p` / `hankel_by_columns`: Gaussian elimination with column
+  pivoting over any F_p, O(m^4) field operations, which the tests check
+  against a Leibniz expansion.
 """
 
-from plcpkit._kernels import pack_bits
+from plcpkit.field import CoeffSeq, PrimeField, pack_bits
 
 
 def order_parity(bits, n):
@@ -43,3 +48,40 @@ def hankel_parities(bits, m):
     if 2 * m - 1 > len(bits):
         raise ValueError(f"need 2*{m}-1 terms, have {len(bits)}")
     return [order_parity(bits, n) for n in range(1, m + 1)]
+
+
+def det_mod_p(rows, field: PrimeField) -> int:
+    """Determinant mod p by Gaussian elimination with column pivoting.
+
+    Each call eliminates one matrix on its own: a zero pivot is replaced
+    by searching along the current row and swapping columns.
+    """
+    p = field.p
+    n = len(rows)
+    m = [list(r) for r in rows]
+    det = 1
+    for step in range(n):
+        if m[step][step] % p == 0:
+            k = next((c for c in range(step + 1, n) if m[step][c] % p), None)
+            if k is None:
+                return 0
+            for r in range(n):
+                m[r][step], m[r][k] = m[r][k], m[r][step]
+            det = -det
+        piv = m[step][step] % p
+        det = (det * piv) % p
+        inv = field.inv(piv)
+        for r in range(step + 1, n):
+            f = (m[r][step] * inv) % p
+            if f:
+                for c in range(step, n):
+                    m[r][c] = (m[r][c] - f * m[step][c]) % p
+    return det % p
+
+
+def hankel_by_columns(c: CoeffSeq, max_order: int) -> tuple:
+    """H_1..H_max_order of an origin-0 prefix mod p, each order by `det_mod_p`."""
+    t = c.terms
+    return tuple(
+        det_mod_p([t[i : i + n] for i in range(n)], c.field) for n in range(1, max_order + 1)
+    )

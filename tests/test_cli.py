@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hankel_oracle import hankel_parities
+from hankel_oracle import hankel_by_columns, hankel_parities
 
 from plcpkit import cli
 from plcpkit.field import GF2, CoeffSeq, PrimeField, dumps_sequence, write_sequence
@@ -172,7 +172,7 @@ def test_hankel_table_over_f5(capsys, tmp_path):
     seq = CoeffSeq(PrimeField(5), [rng.randrange(5) for _ in range(127)], origin=0)
     seq_path = tmp_path / "f5.seq"
     write_sequence(seq, seq_path)
-    values = hankel_mod_p(seq, 64, pivot="col").values
+    values = hankel_by_columns(seq, 64)
     assert values[0] == 0 and 0 < values.count(0) < 32
     rows = [(str(n), str(v), "-") for n, v in enumerate(values, start=1)]
     rc, out, err = run(capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "64")

@@ -1,15 +1,16 @@
 """Hankel determinant checks against a permutation-expansion oracle.
 
 `hankel_mod_p` and `first_even_hankel_order` read one incremental
-elimination for every field; the per-order eliminations (pivot="col",
-and over F2 `hankel_oracle.hankel_parities`) are its oracles here.
+elimination for every field; the per-order eliminations of
+`hankel_oracle` (column pivoting over every field, and over F2
+`hankel_parities`) are its oracles here.
 """
 
 import itertools
 import random
 
 import pytest
-from hankel_oracle import hankel_parities, order_parity
+from hankel_oracle import hankel_by_columns, hankel_parities, order_parity
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -68,17 +69,18 @@ def test_mod_p_matches_permutation_expansion(pt):
     report = hankel_mod_p(c, m)
     assert report.modulus == p
     assert report.max_order == m
-    for n in range(1, m + 1):
-        assert report.values[n - 1] == perm_det(hankel_rows(terms, n)) % p
+    leibniz = tuple(perm_det(hankel_rows(terms, n)) % p for n in range(1, m + 1))
+    assert report.values == leibniz
+    assert hankel_by_columns(c, m) == leibniz  # the oracle of the tests below
 
 
 @given(mod_p_inputs)
 def test_pivot_strategies_agree(pt):
-    # the incremental elimination (packed over F2) against the per-order one
+    # the incremental elimination (packed over F2) against column pivoting
     p, terms = pt
     c = CoeffSeq(PrimeField(p), terms, origin=0)
     m = (len(terms) + 1) // 2
-    assert hankel_mod_p(c, m, pivot="row").values == hankel_mod_p(c, m, pivot="col").values
+    assert hankel_mod_p(c, m).values == hankel_by_columns(c, m)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.data())
@@ -91,14 +93,6 @@ def test_row_passes_read_the_leading_minors_of_any_matrix(p, n, data):
         packed = [sum(b << j for j, b in enumerate(r)) for r in rows]
         assert list(_f2_parities(packed)) == minors
     assert list(_mod_p_values(rows, PrimeField(p))) == minors
-
-
-def test_unknown_pivot_rejected():
-    # checked before any elimination: with or without a zero pivot, over F2 too
-    for p, terms in ((3, [0, 1, 2]), (3, [1, 1, 2]), (2, [1, 0, 1])):
-        c = CoeffSeq(PrimeField(p), terms, origin=0)
-        with pytest.raises(ValueError, match="pivot"):
-            hankel_mod_p(c, 2, pivot="diagonal")
 
 
 @given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=11))
@@ -221,7 +215,7 @@ def test_one_pass_matches_per_order_eliminations(bits, data):
     # a smaller max_order packs shorter rows; column pivoting costs O(k^4)
     k = data.draw(st.integers(1, m))
     values = hankel_mod_p(c, k).values
-    assert values == hankel_mod_p(c, k, pivot="col").values == tuple(per_order[:k])
+    assert values == hankel_by_columns(c, k) == tuple(per_order[:k])
 
 
 @st.composite
@@ -249,7 +243,7 @@ def test_odd_p_one_pass_matches_per_order_eliminations(pt, data):
     p, terms = pt
     c = CoeffSeq(PrimeField(p), terms, origin=0)
     m = (len(terms) + 1) // 2
-    per_order = hankel_mod_p(c, m, pivot="col").values
+    per_order = hankel_by_columns(c, m)
     assert hankel_mod_p(c, m).values == per_order
     # a smaller max_order slices shorter rows
     k = data.draw(st.integers(1, m))
@@ -260,12 +254,12 @@ def test_odd_p_rank_collapse_and_late_nonzero_orders():
     # period 3 over F5: rank 3, so row 3 reduces to zero and H_4.. are 0
     c = CoeffSeq(PrimeField(5), [1, 2, 4] * 7, origin=0)
     values = hankel_mod_p(c, 11).values
-    assert values == hankel_mod_p(c, 11, pivot="col").values
+    assert values == hankel_by_columns(c, 11)
     assert values[3:] == (0,) * 8 and values[2] != 0
     # c_0 = 0 makes H_1 = 0, and H_2 = -c_1^2 is not
     c = CoeffSeq(PrimeField(7), [0, 3, 1, 5, 2, 6, 4, 1, 1], origin=0)
     values = hankel_mod_p(c, 5).values
-    assert values == hankel_mod_p(c, 5, pivot="col").values
+    assert values == hankel_by_columns(c, 5)
     assert values[:2] == (0, -9 % 7)
 
 
@@ -275,7 +269,7 @@ def test_odd_p_one_pass_at_order_64(p):
     rng = random.Random(p)
     c = CoeffSeq(PrimeField(p), [rng.randrange(p) for _ in range(256)], origin=0)
     values = hankel_mod_p(c, 64).values
-    assert values == hankel_mod_p(c, 64, pivot="col").values
+    assert values == hankel_by_columns(c, 64)
     assert 0 < values.count(0) < 64
 
 
