@@ -21,7 +21,6 @@ from plcpkit.field import (
     CoeffSeq,
     DensePoly,
     PrimeField,
-    TruncSeries,
     poly_divmod,
     poly_gcd,
     read_sequence,

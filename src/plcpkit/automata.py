@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from plcpkit.field import GF2, CoeffSeq, TruncSeries
+from plcpkit.field import GF2, CoeffSeq, pack_bits
 from plcpkit.hankel import is_apwenian_recurrence
 from plcpkit.seqgen import BitSource, UniformMorphism, morphism_fixed_point
 
@@ -279,17 +279,18 @@ def phi3_kernel_size(b: BitSource) -> int:
 class UVPair:
     """Odd/even split of a Laurent tail f = v^2 + x u^2 (in x = 1/t).
 
-    u collects the odd-index terms (u_n = s_{2n+1}), v the even-index
-    ones with v_0 = 0; precisions record exactly what the input pins.
+    u and v are origin-0 `CoeffSeq`s over F2: u collects the odd-index
+    terms (u_n = s_{2n+1}), v the even-index ones with v_0 = 0.  Their
+    lengths are exactly what the input pins.
     """
 
-    u: TruncSeries
-    v: TruncSeries
+    u: CoeffSeq
+    v: CoeffSeq
 
     def __post_init__(self):
-        if self.u.precision < 1 or self.u.coeffs[0] != 1:
+        if self.u.terms[0] != 1:
             raise ValueError("u must start with 1")
-        if self.v.precision < 1 or self.v.coeffs[0] != 0:
+        if self.v.terms[0] != 0:
             raise ValueError("v must start with 0")
 
 
@@ -301,27 +302,28 @@ def uv_decompose(f: CoeffSeq) -> UVPair:
         raise ValueError("expects an origin-1 sequence; use shift_index(1)")
     if f.terms[0] != 1:
         raise ValueError("requires leading coefficient 1")
-    n = len(f)
-    u = [f[2 * m + 1] for m in range(0, (n - 1) // 2 + 1)]
-    v = [0] + [f[2 * m] for m in range(1, n // 2 + 1)]
+    t = f.terms
     return UVPair(
-        u=TruncSeries(GF2, u, len(u), "laurent-tail"),
-        v=TruncSeries(GF2, v, len(v), "laurent-tail"),
+        u=CoeffSeq(GF2, t[0::2], origin=0),
+        v=CoeffSeq(GF2, (0,) + t[1::2], origin=0),
     )
+
+
+def _square(a: int) -> int:
+    # over F2 squaring a packed series moves bit i to bit 2i
+    return int("0".join(format(a, "b")), 2)
 
 
 def klx_check(pair: UVPair) -> bool:
     """Does v^2 + v = 1 + u + x u^2 hold on the known range?
 
-    Squaring doubles precision in characteristic 2, so both sides are
-    known exactly as far as u and v are; the comparison uses the common
-    range and fabricates nothing.
+    Squaring doubles the known range in characteristic 2, so both sides
+    are known exactly as far as u and v are; the comparison uses the
+    common range, min(len(u), len(v)) terms, and fabricates nothing.
     """
-    u, v = pair.u, pair.v
-    lhs = v.square() + v
-    one = TruncSeries.constant(GF2, 1, u.precision, u.direction)
-    rhs = one + u + u.square().shift(1)
-    return lhs.agrees_with(rhs)
+    u, v = pack_bits(pair.u.terms), pack_bits(pair.v.terms)
+    known = min(len(pair.u), len(pair.v))
+    return not (_square(v) ^ v ^ 1 ^ u ^ (_square(u) << 1)) & ((1 << known) - 1)
 
 
 def build_from_u(u: CoeffSeq, n: int) -> CoeffSeq:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -67,6 +68,8 @@ class _UsageError(Exception):
     pass
 
 
+# parse_args leaves the parser unchanged, so one parser serves every call
+@functools.cache
 def _build_parser() -> _Parser:
     top = _Parser(prog="plcpkit", description=__doc__)
     top.add_argument("--version", action="version", version=f"plcpkit {__version__}")

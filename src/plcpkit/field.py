@@ -2,10 +2,8 @@
 
 Residues are plain ints in [0, p); the containers validate on
 construction, so a value never leaves the range.  `DensePoly` stores
-coefficients ascending by degree with no trailing zeros, `CoeffSeq` is a
-finite sequence prefix with an explicit index origin (0 or 1), and
-`TruncSeries` is a truncated power series that records how many
-coefficients are actually known instead of silently inventing zeros.
+coefficients ascending by degree with no trailing zeros, and `CoeffSeq`
+is a finite sequence prefix with an explicit index origin (0 or 1).
 The F2 fast paths use ints as bit vectors; `pack_bits` and
 `unpack_bits` convert between those and 0/1 lists.
 """
@@ -20,7 +18,6 @@ __all__ = [
     "GF2",
     "DensePoly",
     "CoeffSeq",
-    "TruncSeries",
     "poly_divmod",
     "poly_gcd",
     "SequenceFormatError",
@@ -341,120 +338,6 @@ class CoeffSeq:
         head = ",".join(map(str, self.terms[:12]))
         tail = ",..." if len(self.terms) > 12 else ""
         return f"CoeffSeq(F{self.field.p}, origin={self.origin}, [{head}{tail}], len={len(self.terms)})"
-
-
-class TruncSeries:
-    """Power series in x known modulo x^precision.
-
-    ``direction`` is "power" when coefficient i means the t^i
-    coefficient, "laurent-tail" when it means the t^{-i} coefficient
-    (x = 1/t).  Arithmetic keeps the minimum precision of its operands;
-    the only ways precision grows are squaring in characteristic 2 and
-    an explicit shift by x^k.
-    """
-
-    __slots__ = ("field", "coeffs", "precision", "direction")
-
-    def __init__(self, field: PrimeField, coeffs, precision: int, direction="power"):
-        if direction not in ("power", "laurent-tail"):
-            raise ValueError(f"bad direction: {direction!r}")
-        if precision < 0:
-            raise ValueError("negative precision")
-        cs = list(coeffs)
-        if len(cs) > precision:
-            cs = cs[:precision]
-        else:
-            cs = cs + [0] * (precision - len(cs))
-        self.field = field
-        self.coeffs = field.validate(cs)
-        self.precision = precision
-        self.direction = direction
-
-    @classmethod
-    def constant(cls, field, value, precision, direction="power"):
-        return cls(field, (value,), precision, direction)
-
-    def coefficient(self, i: int) -> int:
-        if not 0 <= i < self.precision:
-            raise IndexError(f"coefficient {i} beyond precision {self.precision}")
-        return self.coeffs[i]
-
-    def _align(self, other):
-        _check_same_field(self, other)
-        if self.direction != other.direction:
-            raise ValueError("mixed series directions")
-        return min(self.precision, other.precision)
-
-    def __add__(self, other):
-        pr = self._align(other)
-        p = self.field.p
-        return TruncSeries(
-            self.field,
-            [(a + b) % p for a, b in zip(self.coeffs[:pr], other.coeffs[:pr])],
-            pr,
-            self.direction,
-        )
-
-    def __sub__(self, other):
-        pr = self._align(other)
-        p = self.field.p
-        return TruncSeries(
-            self.field,
-            [(a - b) % p for a, b in zip(self.coeffs[:pr], other.coeffs[:pr])],
-            pr,
-            self.direction,
-        )
-
-    def __mul__(self, other):
-        pr = self._align(other)
-        p = self.field.p
-        out = [0] * pr
-        for i, ai in enumerate(self.coeffs[:pr]):
-            if ai:
-                for j, bj in enumerate(other.coeffs[: pr - i]):
-                    if bj:
-                        out[i + j] = (out[i + j] + ai * bj) % p
-        return TruncSeries(self.field, out, pr, self.direction)
-
-    def square(self):
-        """Square; in characteristic 2 the known precision doubles."""
-        if self.field.p != 2:
-            return self * self
-        out = [0] * (2 * self.precision)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[2 * i] = 1
-        return TruncSeries(self.field, out, 2 * self.precision, self.direction)
-
-    def shift(self, k: int):
-        """Multiply by x^k; the product is known mod x^(precision+k)."""
-        if k < 0:
-            raise ValueError("negative shift")
-        return TruncSeries(
-            self.field, (0,) * k + self.coeffs, self.precision + k, self.direction
-        )
-
-    def agrees_with(self, other) -> bool:
-        """Equality on the common known range."""
-        pr = self._align(other)
-        return self.coeffs[:pr] == other.coeffs[:pr]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncSeries)
-            and other.field == self.field
-            and other.direction == self.direction
-            and other.precision == self.precision
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.direction, self.precision, self.coeffs))
-
-    def __repr__(self):
-        head = ",".join(map(str, self.coeffs[:12]))
-        tail = ",..." if self.precision > 12 else ""
-        return f"TruncSeries(F{self.field.p}, [{head}{tail}], prec={self.precision}, {self.direction})"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from plcpkit.field import CoeffSeq, DensePoly, GF2, PrimeField
 
 __all__ = [
     "LCProfile",
-    "BMState",
     "BerlekampMassey",
     "lcp_profile",
     "is_plcp",
@@ -63,17 +62,6 @@ class LCProfile:
         return f"LCProfile(F{self.field.p}, [{head}{tail}], len={len(self.values)})"
 
 
-@dataclass(frozen=True)
-class BMState:
-    """Snapshot of the incremental synthesizer."""
-
-    connection: DensePoly  # constant term 1, degree <= length
-    previous: DensePoly
-    length: int
-    last_change: int  # position n of the last length change (-1 if none)
-    last_discrepancy: int
-
-
 class BerlekampMassey:
     """Incremental shortest-LFSR synthesis over F_p."""
 
@@ -84,8 +72,6 @@ class BerlekampMassey:
         self._l = 0
         self._m = 1
         self._bd = 1  # discrepancy at the last length change
-        self._last_change = -1
-        self._last_d = 0
         self._terms = []
 
     @property
@@ -108,7 +94,6 @@ class BerlekampMassey:
         if d == 0:
             self._m += 1
             return self._l
-        self._last_d = d
         coef = (d * field.inv(self._bd)) % p
         shifted = [0] * self._m + [(coef * x) % p for x in self._b]
         if 2 * self._l <= n:
@@ -117,7 +102,6 @@ class BerlekampMassey:
             self._b = old
             self._bd = d
             self._l = n + 1 - self._l
-            self._last_change = n
             self._m = 1
         else:
             self._sub_inplace(shifted)
@@ -134,15 +118,6 @@ class BerlekampMassey:
 
     def connection_polynomial(self) -> DensePoly:
         return DensePoly(self.field, self._c)
-
-    def state(self) -> BMState:
-        return BMState(
-            connection=DensePoly(self.field, self._c),
-            previous=DensePoly(self.field, self._b),
-            length=self._l,
-            last_change=self._last_change,
-            last_discrepancy=self._last_d,
-        )
 
 
 def _f2_profile(bits):
@@ -192,26 +167,6 @@ def _has_recurrence(terms, k, field):
     if k >= n:
         return True
     p = field.p
-    if p == 2 and k <= 12:
-        # exhaustive over all 2^k coefficient vectors, early exit per row
-        window = terms
-        for massk in range(1 << k):
-            ok = True
-            for i in range(n - k):
-                acc = 0
-                mm = massk
-                j = 1
-                while mm:
-                    if mm & 1:
-                        acc ^= window[i + k - j]
-                    mm >>= 1
-                    j += 1
-                if acc != window[i + k]:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
     # solvability of the definitional linear system
     rows = []
     for i in range(n - k):
@@ -269,19 +224,11 @@ def recurrence_check(s: CoeffSeq) -> bool:
         raise ValueError("recurrence check is defined over F2")
     if s.terms[0] != 1:
         raise ValueError("requires leading term 1")
+    # t[i] is s(i+1) at origin 1 and c(i) = s(i+1) at origin 0: one loop checks both
     t = s.terms
-    nn = len(t)
-    if s.origin == 1:
-        # t[i] = s(i+1)
-        n = 1
-        while 2 * n + 1 <= nn:
-            if t[2 * n] != (t[2 * n - 1] + t[n - 1]) % 2:
-                return False
-            n += 1
-        return True
-    n = 0
-    while 2 * n + 2 <= nn - 1:
-        if t[2 * n + 2] != (t[2 * n + 1] + t[n]) % 2:
+    n = 1
+    while 2 * n + 1 <= len(t):
+        if t[2 * n] != (t[2 * n - 1] + t[n - 1]) % 2:
             return False
         n += 1
     return True

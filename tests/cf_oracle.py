@@ -1,5 +1,5 @@
 """Series-inverse continued-fraction extraction, the oracle for `laurent_cf`,
-with the truncated power-series inverse and derivative the oracles use.
+with the truncated power-series inverse the oracles use.
 
 This is the extraction `laurent_cf` used before it became Euclid's
 algorithm on (t^N, P): strip the polynomial part of the remainder
@@ -13,7 +13,7 @@ the `DensePoly` Jacobi tower with.
 """
 
 from plcpkit.cfrac import ContinuedFraction
-from plcpkit.field import CoeffSeq, DensePoly, TruncSeries, pack_bits, unpack_bits
+from plcpkit.field import CoeffSeq, DensePoly, pack_bits, unpack_bits
 
 
 def _inv_packed(u, prec):
@@ -27,36 +27,26 @@ def _inv_packed(u, prec):
     return e
 
 
-def series_inverse(f: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse mod x^precision; needs a unit constant term."""
-    if f.precision == 0:
+def series_inverse(field, coeffs) -> tuple:
+    """Inverse of sum coeffs[i] x^i mod x^len(coeffs); needs a unit constant term."""
+    n = len(coeffs)
+    if n == 0:
         raise ValueError("cannot invert a series with no known coefficients")
-    if f.coeffs[0] == 0:
+    if coeffs[0] == 0:
         raise ValueError("series has zero constant term, not invertible")
-    if f.field.p == 2:
-        inv = _inv_packed(pack_bits(f.coeffs), f.precision)
-        coeffs = unpack_bits(inv, f.precision)
-        return TruncSeries(f.field, coeffs, f.precision, f.direction)
-    p = f.field.p
-    f0i = f.field.inv(f.coeffs[0])
+    if field.p == 2:
+        return tuple(unpack_bits(_inv_packed(pack_bits(coeffs), n), n))
+    p = field.p
+    f0i = field.inv(coeffs[0])
     inv = [f0i]
-    for m in range(1, f.precision):
+    for m in range(1, n):
         s = 0
         for i in range(1, m + 1):
-            fi = f.coeffs[i]
+            fi = coeffs[i]
             if fi:
                 s += fi * inv[m - i]
         inv.append((-f0i * s) % p)
-    return TruncSeries(f.field, inv, f.precision, f.direction)
-
-
-def series_derivative(f: TruncSeries) -> TruncSeries:
-    """Formal derivative; one coefficient of precision is honestly lost."""
-    if f.precision == 0:
-        raise ValueError("cannot differentiate a series with no known coefficients")
-    p = f.field.p
-    out = [((i + 1) * c) % p for i, c in enumerate(f.coeffs[1:])]
-    return TruncSeries(f.field, out, f.precision - 1, f.direction)
+    return tuple(inv)
 
 
 def series_inverse_cf(s: CoeffSeq) -> ContinuedFraction:
@@ -79,8 +69,7 @@ def series_inverse_cf(s: CoeffSeq) -> ContinuedFraction:
                 guaranteed_count=len(monics),
                 next_degree_bound=k + 1 if v is None else v,
             )
-        prec = k - v + 1
-        iu = series_inverse(TruncSeries(fld, r[v : v + prec], prec)).coeffs
+        iu = series_inverse(fld, r[v : k + 1])
         quotient = DensePoly(fld, [iu[v - j] for j in range(v + 1)])
         unit, monic = quotient.monic()
         monics.append(monic)

@@ -2,12 +2,12 @@
 
 This is the generator as it was before it moved to packed ints: the
 tower is built with generic polynomial products, then num/den is
-expanded with a truncated series inverse and product.
+expanded with a truncated series inverse and a `DensePoly` product.
 """
 
 from cf_oracle import series_inverse
 
-from plcpkit.field import GF2, CoeffSeq, DensePoly, TruncSeries
+from plcpkit.field import GF2, CoeffSeq, DensePoly
 from plcpkit.seqgen import BitSource
 
 
@@ -21,6 +21,6 @@ def phi1_tower(b: BitSource, n: int) -> CoeffSeq:
     x2 = DensePoly(GF2, (0, 0, 1))
     for bj in reversed(stream):
         num, den = den, DensePoly(GF2, (1, bj)) * den + x2 * num
-    inv = series_inverse(TruncSeries(GF2, den.coeffs, n))
-    prod = inv * TruncSeries(GF2, num.coeffs, n)
-    return CoeffSeq(GF2, prod.coeffs, origin=0)
+    inv = series_inverse(GF2, [den.coefficient(i) for i in range(n)])
+    prod = DensePoly(GF2, inv) * num
+    return CoeffSeq(GF2, [prod.coefficient(i) for i in range(n)], origin=0)

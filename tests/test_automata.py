@@ -158,11 +158,11 @@ f2_one_led = st.lists(st.integers(0, 1), min_size=0, max_size=199).map(
 def test_uv_decomposition_reads_off_parity_classes(s):
     pair = uv_decompose(s)
     n = len(s)
-    assert pair.u.precision == (n - 1) // 2 + 1
-    assert pair.v.precision == n // 2 + 1
-    assert all(pair.u.coeffs[m] == s[2 * m + 1] for m in range((n - 1) // 2 + 1))
-    assert pair.v.coeffs[0] == 0
-    assert all(pair.v.coeffs[m] == s[2 * m] for m in range(1, n // 2 + 1))
+    assert len(pair.u) == (n - 1) // 2 + 1
+    assert len(pair.v) == n // 2 + 1
+    assert all(pair.u[m] == s[2 * m + 1] for m in range((n - 1) // 2 + 1))
+    assert pair.v[0] == 0
+    assert all(pair.v[m] == s[2 * m] for m in range(1, n // 2 + 1))
 
 
 @given(f2_one_led)
@@ -182,7 +182,9 @@ def test_build_from_u_round_trip(tail, n):
     assert s.origin == 1 and len(s) == n
     assert recurrence_check(s)
     pair = uv_decompose(s)
-    assert pair.u.coeffs == u.terms[: pair.u.precision]
+    assert pair.u.terms == u.terms[: len(pair.u)]
+    m = 2 * len(pair.u) - 1  # u pins the sequence up to its last odd index
+    assert build_from_u(pair.u, m).terms == s.terms[:m]
     assert klx_check(pair)
 
 

@@ -86,7 +86,7 @@ def test_bm_connection_annihilates_sequence():
     for t in s.terms:
         bm.push(t)
     c = bm.connection_polynomial()
-    L = bm.state().length
+    L = bm.length
     assert c.coefficient(0) == 1
     # sum_j c_j s_{n-j} = 0 for all n past the initial segment
     for n in range(L, len(s)):
@@ -103,7 +103,7 @@ def test_bm_generic_field():
     profile = [bm.push(t) for t in s.terms]
     assert profile == [lc_bruteforce(s, k) for k in range(1, 11)]
     c = bm.connection_polynomial()
-    L = bm.state().length
+    L = bm.length
     for n in range(L, len(s)):
         acc = sum(c.coefficient(j) * s.terms[n - j] for j in range(L + 1)) % 5
         assert acc == 0
