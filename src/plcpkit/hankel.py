@@ -22,9 +22,11 @@ stays independent of the profile, the recurrences and the continued
 fraction.  It is the one route in the package; the tests check it
 against the eliminations it replaced, kept in `tests/hankel_oracle.py`:
 a column-pivoted elimination of each order on its own, which they
-check against a Leibniz expansion, and over F2 a per-order packed
-elimination.  For +-1 integer matrices the fraction-free (Bareiss)
-elimination gives exact integer values.
+check against a Leibniz expansion, over F2 a per-order packed
+elimination, and for +-1 entries per-order Bareiss.  The exact integers
+of a +-1 prefix are the odd-p pass mod one Mersenne prime P, each lifted
+to (-P/2, P/2): Hadamard's bound |H_k| <= k^(k/2) grows with k, so
+P^2 > 4 m^m makes every lift, k <= m, exact.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect, insort
 from dataclasses import dataclass
 
-from plcpkit.field import CoeffSeq, PrimeField, pack_bits
+from plcpkit.field import CoeffSeq, pack_bits
 
 __all__ = [
     "HankelReport",
@@ -89,14 +91,14 @@ def _f2_parities(rows):
         yield 1 if cols == (2 << k) - 1 else 0
 
 
-def _mod_p_values(rows, field: PrimeField):
-    """Yield the leading minors mod p of residue rows, in order.
+def _mod_p_values(rows, p: int):
+    """Yield the leading minors mod the prime p of residue rows, in order.
 
     See the module docstring.  A pivot row is kept from its pivot column
     on, scaled to a leading 1, so a reduction needs no inverse; its
-    original leading entry goes into the running product.
+    original leading entry goes into the running product.  It also runs
+    mod a Mersenne prime for `hankel_integer_pm1`.
     """
-    p = field.p
     rows = iter(rows)
     pivots = []  # (pivot column, scaled row from that column on), sorted by column
     det = 1  # sign of the map row -> pivot column, times the leading entries
@@ -112,7 +114,7 @@ def _mod_p_values(rows, field: PrimeField):
             yield from (0 for _ in rows)
             return
         lead = row[col]
-        inv = field.inv(lead)
+        inv = pow(lead, -1, p)
         at = bisect(pivots, (col,))  # the columns are distinct, so rows never compare
         pivots.insert(at, (col, [a * inv % p for a in row[col:]]))
         if (len(pivots) - 1 - at) & 1:  # earlier rows with a later pivot column
@@ -140,7 +142,7 @@ def hankel_mod_p(c: CoeffSeq, max_order: int) -> HankelReport:
     if c.field.p == 2:
         values = tuple(_f2_parities(_f2_rows(t, m)))
     else:
-        values = tuple(_mod_p_values((t[k : k + m] for k in range(m)), c.field))
+        values = tuple(_mod_p_values((t[k : k + m] for k in range(m)), c.field.p))
     return HankelReport(
         modulus=c.field.p,
         values=values,
@@ -182,34 +184,24 @@ def is_apwenian_recurrence(c: CoeffSeq) -> bool:
     return recurrence_check(c)
 
 
-def _bareiss_det(rows) -> int:
-    """Fraction-free elimination; exact integer determinant."""
-    n = len(rows)
-    m = [[int(x) for x in r] for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i, row_k = m[i], m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pk - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return sign * m[n - 1][n - 1]
+# the exponents e of the Mersenne primes 2^e - 1 that exact +-1 values are lifted from
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+                       9689, 9941, 11213, 19937, 21701, 23209, 44497)
+
+
+def _lift_modulus(m: int) -> int | None:
+    """The least P = 2^e - 1 of the table with P^2 > 4 m^m, or None past it."""
+    bound = 4 * m**m
+    return next((p for e in _MERSENNE_EXPONENTS if (p := (1 << e) - 1) ** 2 > bound), None)
 
 
 def hankel_integer_pm1(entries, max_order: int) -> HankelReport:
-    """Exact integer H_1..H_max_order for a +-1 entry list."""
+    """Exact integer H_1..H_max_order for a +-1 entry list.
+
+    The odd-p pass mod `_lift_modulus(m)`, lifted to the symmetric range
+    (see the module docstring): O(m^3) operations on e-bit integers, and
+    e = 44497 covers m <= 6970.
+    """
     ee = list(entries)
     for e in ee:
         if e not in (1, -1):
@@ -220,9 +212,11 @@ def hankel_integer_pm1(entries, max_order: int) -> HankelReport:
         raise ValueError(
             f"insufficient terms: order {max_order} needs {2 * max_order - 1}, have {len(ee)}"
         )
-    values = tuple(
-        _bareiss_det([ee[i : i + n] for i in range(n)]) for n in range(1, max_order + 1)
-    )
+    p = _lift_modulus(max_order)
+    if p is None:
+        raise ValueError(f"max_order must be <= 6970 for exact values, got {max_order}")
+    rows = ([int(x) % p for x in ee[k : k + max_order]] for k in range(max_order))
+    values = tuple(v - p if 2 * v > p else v for v in _mod_p_values(rows, p))
     return HankelReport(
         modulus=None, values=values, max_order=max_order, source_length=len(ee)
     )
@@ -242,7 +236,10 @@ class ApwwResult:
 
 
 def apww_check(max_order: int) -> ApwwResult:
-    """H_n of ((-1)^(weight of n)) is 2^(n-1) times an odd integer."""
+    """H_n of ((-1)^(weight of n)) is 2^(n-1) times an odd integer.
+
+    The exact H_n are `hankel_integer_pm1`'s: the odd-p pass mod a Mersenne prime.
+    """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     entries = [1 - 2 * (i.bit_count() & 1) for i in range(2 * max_order - 1)]

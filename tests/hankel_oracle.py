@@ -8,7 +8,11 @@ so no order depends on the pivots of another:
   packed F2 matrix, O(m^4/64) bit operations for orders 1..m;
 - `det_mod_p` / `hankel_by_columns`: Gaussian elimination with column
   pivoting over any F_p, O(m^4) field operations, which the tests check
-  against a Leibniz expansion.
+  against a Leibniz expansion;
+- `bareiss_det` / `bareiss_values`: fraction-free (Bareiss) elimination
+  of integer matrices, O(m^4) exact operations, the route
+  `hankel_integer_pm1` took for +-1 entries before the pass mod a
+  Mersenne prime replaced it.
 """
 
 from plcpkit.field import CoeffSeq, PrimeField, pack_bits
@@ -85,3 +89,34 @@ def hankel_by_columns(c: CoeffSeq, max_order: int) -> tuple:
     return tuple(
         det_mod_p([t[i : i + n] for i in range(n)], c.field) for n in range(1, max_order + 1)
     )
+
+
+def bareiss_det(rows) -> int:
+    """Fraction-free elimination; exact integer determinant."""
+    n = len(rows)
+    m = [[int(x) for x in r] for r in rows]
+    if any(len(r) != n for r in m):
+        raise ValueError("matrix must be square")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i, row_k = m[i], m[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pk - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pk
+    return sign * m[n - 1][n - 1]
+
+
+def bareiss_values(entries, m) -> tuple:
+    """Exact H_1..H_m of an integer entry list, each order by `bareiss_det`."""
+    return tuple(bareiss_det([entries[i : i + n] for i in range(n)]) for n in range(1, m + 1))

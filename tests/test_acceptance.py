@@ -154,11 +154,11 @@ def test_criterion_4_closed_form_profiles_fix_the_indexing():
 
 
 def test_criterion_5_scaled_thue_morse_determinants():
-    res = apww_check(64)
+    res = apww_check(128)
     _check(
         5,
         res.ok,
-        "exact integer H_n of +-1 thue-morse: 2^(n-1) | H_n with odd quotient, n <= 64"
+        "exact integer H_n of +-1 thue-morse: 2^(n-1) | H_n with odd quotient, n <= 128"
         if res.ok
         else f"first failing order: {res.first_failure}",
     )

@@ -5,10 +5,17 @@ import json
 import random
 
 import pytest
-from hankel_oracle import hankel_by_columns, hankel_parities
+from hankel_oracle import bareiss_values, hankel_by_columns, hankel_parities
 
 from plcpkit import cli
-from plcpkit.field import GF2, CoeffSeq, PrimeField, dumps_sequence, write_sequence
+from plcpkit.field import (
+    GF2,
+    CoeffSeq,
+    PrimeField,
+    dumps_sequence,
+    read_sequence,
+    write_sequence,
+)
 from plcpkit.hankel import hankel_mod_p
 from plcpkit.seqgen import BitSource, phi2_selector, rueppel
 
@@ -183,6 +190,39 @@ def test_hankel_table_over_f5(capsys, tmp_path):
     csv_path = tmp_path / "f5.csv"
     rc, out, err = run(
         capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "64", "--csv", str(csv_path)
+    )
+    assert rc == 0 and out == ""
+    with open(csv_path, newline="") as fh:
+        assert list(csv.reader(fh)) == [["n", "value", "odd"]] + [list(row) for row in rows]
+
+
+@pytest.mark.parametrize("source", ["thue-morse", "random"])
+def test_hankel_table_exact_pm1_at_order_64(capsys, tmp_path, source):
+    # b -> (-1)^b: thue-morse has every H_n nonzero and even past n = 1; the
+    # random prefix has zero orders among odd and even ones
+    seq_path = tmp_path / "s.seq"
+    if source == "thue-morse":
+        run(capsys, "gen", "--family", "thue-morse", "--length", "127", "--out", str(seq_path))
+    else:
+        bits = random.Random(15).choices((0, 1), k=127)
+        write_sequence(CoeffSeq(GF2, bits, origin=0), seq_path)
+    seq = read_sequence(seq_path).shift_index(0)
+    values = bareiss_values([1 - 2 * t for t in seq.terms], 64)
+    assert (values.count(0) > 0) == (source == "random")
+    rows = [(str(n), str(v), "true" if v % 2 else "false") for n, v in enumerate(values, start=1)]
+    if source == "thue-morse":  # H_n = 2^(n-1) times an odd integer
+        assert [row[2] for row in rows] == ["true"] + ["false"] * 63
+    rc, out, err = run(
+        capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "64", "--exact-pm1"
+    )
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["hankel determinants (exact), orders 1..64", "n\tvalue\todd"]
+    assert lines[2:] == ["\t".join(row) for row in rows]
+    csv_path = tmp_path / "s.csv"
+    rc, out, err = run(
+        capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "64", "--exact-pm1",
+        "--csv", str(csv_path)
     )
     assert rc == 0 and out == ""
     with open(csv_path, newline="") as fh:

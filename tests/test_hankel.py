@@ -1,24 +1,29 @@
 """Hankel determinant checks against a permutation-expansion oracle.
 
-`hankel_mod_p` and `first_even_hankel_order` read one incremental
-elimination for every field; the per-order eliminations of
-`hankel_oracle` (column pivoting over every field, and over F2
-`hankel_parities`) are its oracles here.
+`hankel_mod_p`, `first_even_hankel_order` and `hankel_integer_pm1`
+read one incremental elimination; the per-order eliminations of
+`hankel_oracle` (column pivoting over every field, over F2
+`hankel_parities`, and for exact +-1 values `bareiss_values`) are its
+oracles here.
 """
 
 import itertools
 import random
+import time
 
 import pytest
-from hankel_oracle import hankel_by_columns, hankel_parities, order_parity
+from hankel_oracle import bareiss_values, hankel_by_columns, hankel_parities, order_parity
 from hypothesis import given
 from hypothesis import strategies as st
 
 from plcpkit.field import CoeffSeq, PrimeField
+from plcpkit import hankel
 from plcpkit.hankel import (
+    _MERSENNE_EXPONENTS,
     ApwwResult,
     HankelReport,
     _f2_parities,
+    _lift_modulus,
     _mod_p_values,
     apww_check,
     first_even_hankel_order,
@@ -92,16 +97,94 @@ def test_row_passes_read_the_leading_minors_of_any_matrix(p, n, data):
     if p == 2:
         packed = [sum(b << j for j, b in enumerate(r)) for r in rows]
         assert list(_f2_parities(packed)) == minors
-    assert list(_mod_p_values(rows, PrimeField(p))) == minors
+    assert list(_mod_p_values(rows, p)) == minors
 
 
 @given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=11))
 def test_bareiss_matches_permutation_expansion(entries):
+    # the lifted pass and its Bareiss oracle against Leibniz
     m = (len(entries) + 1) // 2
     report = hankel_integer_pm1(entries, m)
     assert report.modulus is None
-    for n in range(1, m + 1):
-        assert report.values[n - 1] == perm_det(hankel_rows(entries, n))
+    leibniz = tuple(perm_det(hankel_rows(entries, n)) for n in range(1, m + 1))
+    assert report.values == leibniz
+    assert bareiss_values(entries, m) == leibniz
+
+
+def test_pm1_exhaustive_against_bareiss():
+    # every +-1 list of odd length <= 13, at full order
+    zeros = 0
+    for length in range(1, 14, 2):
+        m = (length + 1) // 2
+        for entries in itertools.product((1, -1), repeat=length):
+            values = hankel_integer_pm1(entries, m).values
+            assert values == bareiss_values(entries, m), entries
+            zeros += values.count(0)
+    assert zeros > 0
+
+
+def test_pm1_random_prefixes_against_bareiss():
+    # lengths up to 81 (m = 41, modulus 2^107 - 1 or 2^127 - 1); a periodic
+    # prefix stops the rank growing, so its later orders are all 0
+    rng = random.Random(10)
+    zeros = 0
+    for trial in range(150):
+        length = rng.randint(1, 81)
+        if trial % 5 == 0:
+            period = [rng.choice((1, -1)) for _ in range(rng.randint(1, 4))]
+            entries = [period[i % len(period)] for i in range(length)]
+        else:
+            entries = [rng.choice((1, -1)) for _ in range(length)]
+        if trial % 2:
+            entries[0] = -1
+        m = (length + 1) // 2
+        k = rng.randint(1, m)
+        values = bareiss_values(entries, m)
+        assert hankel_integer_pm1(entries, m).values == values, entries
+        assert hankel_integer_pm1(entries, k).values == values[:k], entries
+        zeros += values.count(0)
+    assert zeros > 100
+
+
+def test_pm1_values_are_ints_for_bool_and_float_entries():
+    entries = [True, -1.0, -1, 1.0, 1]
+    values = hankel_integer_pm1(entries, 3).values
+    assert values == bareiss_values([1, -1, -1, 1, 1], 3)
+    assert values[:2] == (1, -2)
+    assert all(type(v) is int for v in values)
+
+
+def _is_mersenne_prime(e):
+    # Lucas-Lehmer, e an odd prime
+    p, s = (1 << e) - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % p
+    return s == 0
+
+
+def test_lift_modulus_is_the_least_mersenne_prime_above_twice_hadamard():
+    table = [(1 << e) - 1 for e in _MERSENNE_EXPONENTS]
+    assert all(_is_mersenne_prime(e) for e in _MERSENNE_EXPONENTS if e <= 4423)
+    for m in range(1, 1001):
+        p = _lift_modulus(m)
+        assert p == next(q for q in table if q * q > 4 * m**m), m
+    assert _lift_modulus(45) == (1 << 127) - 1
+    assert _lift_modulus(46) == _lift_modulus(144) == (1 << 521) - 1
+    assert _lift_modulus(145) == (1 << 607) - 1
+    assert _lift_modulus(6970) == (1 << 44497) - 1
+    assert _lift_modulus(6971) is None
+
+
+def test_pm1_past_the_table_raises_before_eliminating(monkeypatch):
+    def eliminate(rows, p):
+        raise AssertionError("eliminated past the table")
+
+    monkeypatch.setattr(hankel, "_mod_p_values", eliminate)
+    entries = [1, -1] * 6970 + [1]  # 13,941 terms, enough for order 6,971
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="max_order"):
+        hankel_integer_pm1(entries, 6971)
+    assert time.perf_counter() - start < 5
 
 
 def test_pm1_input_validation():
