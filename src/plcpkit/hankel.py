@@ -198,9 +198,9 @@ def _lift_modulus(m: int) -> int | None:
 def hankel_integer_pm1(entries, max_order: int) -> HankelReport:
     """Exact integer H_1..H_max_order for a +-1 entry list.
 
-    The odd-p pass mod `_lift_modulus(m)`, lifted to the symmetric range
-    (see the module docstring): O(m^3) operations on e-bit integers, and
-    e = 44497 covers m <= 6970.
+    The odd-p pass mod P = `_lift_modulus(max_order)`, lifted to the
+    symmetric range (see the module docstring): O(m^3) operations on
+    integers of e bits for P = 2^e - 1, and e = 44497 covers m <= 6970.
     """
     ee = list(entries)
     for e in ee:
