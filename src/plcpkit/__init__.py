@@ -61,7 +61,6 @@ from plcpkit.hankel import (
     hankel_integer_pm1,
     hankel_mod_p,
     is_apwenian_hankel,
-    is_apwenian_recurrence,
 )
 from plcpkit.automata import (
     as_kernel_input,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from plcpkit.field import GF2, CoeffSeq, pack_bits
-from plcpkit.hankel import is_apwenian_recurrence
+from plcpkit.lincomplex import recurrence_check
 from plcpkit.seqgen import BitSource, UniformMorphism, morphism_fixed_point
 
 __all__ = [
@@ -83,9 +83,15 @@ class KernelReport:
     classes: list
     edges: dict  # (class index, "T0"|"T1") -> class index
     unresolved: list  # (parent index, op, k, j) children too short to compare
-    closed: bool
-    bound_hit: bool
     bound_reason: str | None  # "max-classes" | "precision" | None
+
+    @property
+    def closed(self) -> bool:
+        return self.bound_reason is None
+
+    @property
+    def bound_hit(self) -> bool:
+        return self.bound_reason is not None
 
     def class_count(self) -> int:
         return len(self.classes)
@@ -113,10 +119,10 @@ def kernel_explore(s: CoeffSeq, tau: int = 64, max_classes: int = 256) -> Kernel
 
     Two nodes are identified when they agree on every commonly known
     term, with at least tau known on both sides.  `closed` means every
-    decimation of every class landed on a known class; `bound_hit` means
-    the scan stopped early (class budget) or some child was too short to
-    compare (precision), so closure could not be decided.  Exactly one
-    of the two is set.
+    decimation of every class landed on a known class.  Otherwise
+    `bound_reason` says why closure could not be decided: the class
+    budget ran out ("max-classes") or some child was too short to
+    compare ("precision").  `bound_hit` is `not closed`.
     """
     if s.origin != 0:
         raise ValueError("kernel scan expects an origin-0 sequence; see as_kernel_input")
@@ -171,11 +177,11 @@ def kernel_explore(s: CoeffSeq, tau: int = 64, max_classes: int = 256) -> Kernel
             edges[(cur.index, op)] = idx
 
     if out_of_budget:
-        closed, bound_hit, reason = False, True, "max-classes"
+        reason = "max-classes"
     elif unresolved:
-        closed, bound_hit, reason = False, True, "precision"
+        reason = "precision"
     else:
-        closed, bound_hit, reason = True, False, None
+        reason = None
     return KernelReport(
         tau=tau,
         max_classes=max_classes,
@@ -183,8 +189,6 @@ def kernel_explore(s: CoeffSeq, tau: int = 64, max_classes: int = 256) -> Kernel
         classes=classes,
         edges=edges,
         unresolved=unresolved,
-        closed=closed,
-        bound_hit=bound_hit,
         bound_reason=reason,
     )
 
@@ -385,6 +389,6 @@ def uniform_morphism_scan(k: int, n: int) -> list:
         for image0 in product((0, 1), repeat=k):
             m = UniformMorphism(image0, image1)
             fp = morphism_fixed_point(m, n)
-            if is_apwenian_recurrence(fp):
+            if recurrence_check(fp):
                 found.append(m)
     return found

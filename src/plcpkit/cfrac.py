@@ -52,24 +52,21 @@ class ContinuedFraction:
     """[a_0; a_1, a_2, ...] with monic partial quotients and their units.
 
     The actual j-th quotient is units[j-1] * quotients[j-1]; over F2 all
-    units are 1.  `guaranteed_count` says how many leading quotients are
-    certified by the input precision; `next_degree_bound` is a lower
-    bound on the degree of the next (unseen) quotient, or None when the
-    expansion terminated exactly (rational input).
+    units are 1.  Every stored quotient is certified by the input
+    precision; `next_degree_bound` is a lower bound on the degree of the
+    next (unseen) quotient, or None when the expansion terminated
+    exactly (rational input).
     """
 
     field: PrimeField
     integer_part: DensePoly
     quotients: tuple
     units: tuple
-    guaranteed_count: int
     next_degree_bound: int | None
 
     def __post_init__(self):
         if len(self.quotients) != len(self.units):
             raise ValueError("quotients and units must align")
-        if not 0 <= self.guaranteed_count <= len(self.quotients):
-            raise ValueError("bad guaranteed_count")
         for q in self.quotients:
             if q.is_zero or q.degree < 1:
                 raise ValueError("partial quotients must have degree >= 1")
@@ -91,6 +88,11 @@ class ContinuedFraction:
         return tuple(q.degree for q in self.quotients)
 
     def __len__(self):
+        return len(self.quotients)
+
+    @property
+    def guaranteed_count(self) -> int:
+        """The number of quotients the input certifies: all of them."""
         return len(self.quotients)
 
 
@@ -168,7 +170,6 @@ def laurent_cf(s: CoeffSeq) -> ContinuedFraction:
         integer_part=DensePoly.zero(fld),
         quotients=monics,
         units=units,
-        guaranteed_count=len(monics),
         next_degree_bound=bound,
     )
 
@@ -187,7 +188,6 @@ def rational_cf(f: DensePoly, g: DensePoly) -> ContinuedFraction:
         integer_part=a0,
         quotients=monics,
         units=units,
-        guaranteed_count=len(monics),
         next_degree_bound=None,
     )
 
@@ -214,13 +214,12 @@ def profile_from_cf(cf: ContinuedFraction, n_max: int) -> LCProfile:
     """Linear complexity profile determined by the partial quotient degrees.
 
     L(n) equals the accumulated denominator degree D_j on the block
-    D_{j-1} + D_j <= n < D_j + D_{j+1}.  Only guaranteed quotients are
-    used and the result is clipped to the range they actually pin down,
-    never padded.
+    D_{j-1} + D_j <= n < D_j + D_{j+1}.  The result is clipped to the
+    range the quotients and `next_degree_bound` pin down, never padded.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    degs = [int(q.degree) for q in cf.quotients[: cf.guaranteed_count]]
+    degs = [int(q.degree) for q in cf.quotients]
     cum = [0]
     for d in degs:
         cum.append(cum[-1] + d)
@@ -240,10 +239,10 @@ def profile_from_cf(cf: ContinuedFraction, n_max: int) -> LCProfile:
 
 
 def max_pq_degree(cf: ContinuedFraction) -> int:
-    """Largest degree among the guaranteed partial quotients."""
-    if cf.guaranteed_count == 0:
+    """Largest degree among the partial quotients."""
+    if not cf.quotients:
         raise ValueError("no guaranteed partial quotients")
-    return max(int(q.degree) for q in cf.quotients[: cf.guaranteed_count])
+    return max(int(q.degree) for q in cf.quotients)
 
 
 def has_flat_expansion(cf: ContinuedFraction, n: int) -> bool:
@@ -257,11 +256,11 @@ def has_flat_expansion(cf: ContinuedFraction, n: int) -> bool:
     larger (next_degree_bound 1).  The last clause only bites for odd n,
     where half a term of evidence about quotient n//2 + 1 exists.
     """
-    if cf.guaranteed_count != n // 2:
+    if len(cf.quotients) != n // 2:
         return False
     if cf.next_degree_bound != 1:
         return False
-    return all(q.degree == 1 for q in cf.quotients[: cf.guaranteed_count])
+    return all(q.degree == 1 for q in cf.quotients)
 
 
 def series_prefix_of_fraction(f: DensePoly, g: DensePoly, n: int) -> CoeffSeq:

@@ -21,7 +21,6 @@ from plcpkit.field import (
     CoeffSeq,
     DensePoly,
     PrimeField,
-    SequenceFormatError,
     dumps_sequence,
     read_sequence,
     write_sequence,
@@ -392,13 +391,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except SequenceFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError, OSError) as e:
+    except (_UsageError, ValueError, ZeroDivisionError, OSError) as e:
+        # file format errors land here too: SequenceFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -57,26 +57,11 @@ class PrimeField:
             raise ValueError(f"field modulus is not prime: {p}")
         self.p = p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def reduce(self, a: int) -> int:
-        return a % self.p
 
     def validate(self, values) -> tuple:
         out = tuple(values)
@@ -122,10 +107,6 @@ class DensePoly:
     @classmethod
     def one(cls, field):
         return cls(field, (1,))
-
-    @classmethod
-    def t(cls, field):
-        return cls(field, (0, 1))
 
     @classmethod
     def monomial(cls, field, degree, coeff=1):
@@ -389,20 +370,25 @@ def loads_sequence(text: str) -> CoeffSeq:
 
     terms = []
     last_line = header_idx + 1
+    bits_line = None  # the bits= line is the whole of the data
     for i in range(header_idx + 1, len(lines)):
         ln = lines[i]
         if not ln.strip():
             continue
+        start = len(ln) - len(ln.lstrip()) + 1  # column of the line's first character
+        if bits_line is not None:
+            raise SequenceFormatError(f"data after the bits= line {bits_line}", i + 1, start)
         last_line = i + 1
         stripped = ln.strip()
         if stripped.startswith("bits="):
+            bits_line = i + 1
             if field.p != 2:
                 raise SequenceFormatError(
-                    "bits= form is only valid for field=2", i + 1, 1
+                    "bits= form is only valid for field=2", i + 1, start
                 )
             if terms:
-                raise SequenceFormatError("bits= after residue data", i + 1, 1)
-            offset = ln.index("bits=") + len("bits=")
+                raise SequenceFormatError("bits= after residue data", i + 1, start)
+            offset = start - 1 + len("bits=")
             for j, ch in enumerate(stripped[len("bits=") :]):
                 if ch not in "01":
                     raise SequenceFormatError(

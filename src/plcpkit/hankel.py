@@ -41,7 +41,6 @@ __all__ = [
     "first_even_hankel_order",
     "hankel_mod_p",
     "is_apwenian_hankel",
-    "is_apwenian_recurrence",
     "hankel_integer_pm1",
     "ApwwResult",
     "apww_check",
@@ -54,12 +53,11 @@ class HankelReport:
 
     modulus: int | None
     values: tuple
-    max_order: int
     source_length: int
 
-    def __post_init__(self):
-        if len(self.values) != self.max_order:
-            raise ValueError("values must cover orders 1..max_order")
+    @property
+    def max_order(self) -> int:
+        return len(self.values)
 
 
 def _f2_rows(terms, m):
@@ -143,12 +141,7 @@ def hankel_mod_p(c: CoeffSeq, max_order: int) -> HankelReport:
         values = tuple(_f2_parities(_f2_rows(t, m)))
     else:
         values = tuple(_mod_p_values((t[k : k + m] for k in range(m)), c.field.p))
-    return HankelReport(
-        modulus=c.field.p,
-        values=values,
-        max_order=max_order,
-        source_length=len(c),
-    )
+    return HankelReport(modulus=c.field.p, values=values, source_length=len(c))
 
 
 def first_even_hankel_order(c: CoeffSeq) -> int | None:
@@ -173,15 +166,6 @@ def is_apwenian_hankel(c: CoeffSeq) -> bool:
     if c.terms[0] != 1:
         raise ValueError("requires leading term 1")
     return k is None
-
-
-def is_apwenian_recurrence(c: CoeffSeq) -> bool:
-    """Same predicate through the linear-time feedback relation."""
-    from plcpkit.lincomplex import recurrence_check
-
-    if c.origin != 0:
-        raise ValueError("expects an origin-0 sequence; use shift_index(0)")
-    return recurrence_check(c)
 
 
 # the exponents e of the Mersenne primes 2^e - 1 that exact +-1 values are lifted from
@@ -217,9 +201,7 @@ def hankel_integer_pm1(entries, max_order: int) -> HankelReport:
         raise ValueError(f"max_order must be <= 6970 for exact values, got {max_order}")
     rows = ([int(x) % p for x in ee[k : k + max_order]] for k in range(max_order))
     values = tuple(v - p if 2 * v > p else v for v in _mod_p_values(rows, p))
-    return HankelReport(
-        modulus=None, values=values, max_order=max_order, source_length=len(ee)
-    )
+    return HankelReport(modulus=None, values=values, source_length=len(ee))
 
 
 @dataclass(frozen=True)

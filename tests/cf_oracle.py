@@ -66,7 +66,6 @@ def series_inverse_cf(s: CoeffSeq) -> ContinuedFraction:
                 integer_part=DensePoly.zero(fld),
                 quotients=tuple(monics),
                 units=tuple(units),
-                guaranteed_count=len(monics),
                 next_degree_bound=k + 1 if v is None else v,
             )
         iu = series_inverse(fld, r[v : k + 1])

@@ -5,6 +5,9 @@ from cf_oracle import series_inverse_cf
 from hypothesis import example, given, strategies as st
 
 from plcpkit.cfrac import (
+    _divmod_packed,
+    _euclid,
+    _size,
     convergents,
     has_flat_expansion,
     laurent_cf,
@@ -14,7 +17,7 @@ from plcpkit.cfrac import (
     rational_cf,
     series_prefix_of_fraction,
 )
-from plcpkit.field import GF2, NEG_INF, CoeffSeq, DensePoly, PrimeField
+from plcpkit.field import GF2, NEG_INF, CoeffSeq, DensePoly, PrimeField, pack_bits, poly_divmod
 from plcpkit.lincomplex import lcp_profile
 
 f2_seqs = st.lists(st.integers(0, 1), min_size=1, max_size=80).map(
@@ -31,11 +34,11 @@ def generic_seqs(draw):
 
 
 @st.composite
-def prefixes_with_zero_runs(draw):
+def prefixes_with_zero_runs(draw, primes=(2, 3, 5, 7), max_length=130):
     # leading-zero runs and all-zero prefixes exercise the cut-off's
     # remainder-zero and long-first-quotient branches
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    n = draw(st.integers(1, 130))
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(1, max_length))
     zeros = min(draw(st.sampled_from([0, 1, 2, 5, n])), n)
     rest = draw(st.lists(st.integers(0, p - 1), min_size=n - zeros, max_size=n - zeros))
     return CoeffSeq(PrimeField(p), [0] * zeros + rest, origin=1)
@@ -104,8 +107,8 @@ def test_guaranteed_quotients_are_stable_under_extension(s):
     rng = random.Random(42)
     longer = CoeffSeq(GF2, list(s.terms) + [rng.randrange(2) for _ in range(24)], origin=1)
     cf2 = laurent_cf(longer)
-    assert cf2.quotients[: cf.guaranteed_count] == cf.quotients[: cf.guaranteed_count]
-    assert cf2.units[: cf.guaranteed_count] == cf.units[: cf.guaranteed_count]
+    assert cf2.quotients[: len(cf)] == cf.quotients
+    assert cf2.units[: len(cf)] == cf.units
 
 
 @given(generic_seqs())
@@ -117,7 +120,7 @@ def test_guaranteed_quotients_stable_generic(s):
         s.field, list(s.terms) + [rng.randrange(p) for _ in range(15)], origin=1
     )
     cf2 = laurent_cf(longer)
-    assert cf2.quotients[: cf.guaranteed_count] == cf.quotients[: cf.guaranteed_count]
+    assert cf2.quotients[: len(cf)] == cf.quotients
 
 
 @given(f2_seqs)
@@ -126,7 +129,7 @@ def test_convergents_approximate_the_series(s):
     cf = laurent_cf(s)
     pairs = convergents(cf)
     degs = [int(q.degree) for q in cf.quotients]
-    for j in range(1, min(len(pairs), cf.guaranteed_count)):
+    for j in range(1, len(cf)):
         dq = sum(degs[:j])
         dq_next = dq + degs[j]
         break_at = dq + dq_next  # 1-based index of the first disagreement
@@ -141,6 +144,49 @@ def test_convergents_approximate_the_series(s):
 @example(CoeffSeq(PrimeField(3), [2] + [0] * 9, origin=1))  # remainder 0 after a_1
 def test_euclid_matches_series_inverse_oracle(s):
     assert laurent_cf(s) == series_inverse_cf(s)  # every ContinuedFraction field
+
+
+def test_euclid_matches_series_inverse_oracle_on_long_inputs():
+    # word-boundary and multi-word lengths that hypothesis rarely reaches
+    rng = random.Random(20240229)
+    for n in (63, 64, 65, 127, 128, 129, 1000, 4096):
+        s = CoeffSeq(GF2, [1] + [rng.randrange(2) for _ in range(n - 1)], origin=1)
+        assert laurent_cf(s) == series_inverse_cf(s), n
+
+
+def _both_euclids(bits):
+    # the one Euclid loop on packed ints and on DensePoly over F2
+    n = len(bits)
+    packed = _euclid(1 << n, pack_bits(bits[::-1]), n, _divmod_packed, int.bit_length)
+    dense = _euclid(DensePoly.monomial(GF2, n), DensePoly(GF2, bits[::-1]), n, poly_divmod, _size)
+    return packed, ([pack_bits(q.coeffs) for q in dense[0]], dense[1])
+
+
+@given(prefixes_with_zero_runs(primes=(2,), max_length=96).map(lambda s: list(s.terms)))
+def test_one_euclid_agrees_on_packed_and_dense_f2(bits):
+    packed, dense = _both_euclids(bits)
+    assert packed == dense
+
+
+def test_one_euclid_agrees_on_packed_and_dense_f2_at_word_boundaries():
+    # DensePoly division is O(n^2) per input, so 4096 gets one random input
+    rng = random.Random(64)
+    shapes = [(n, zeros) for n in (63, 64, 65) for zeros in (0, 1, 40, n)]
+    for n, zeros in shapes + [(4096, 0), (4096, 4096)]:
+        bits = [0] * zeros + [rng.randrange(2) for _ in range(n - zeros)]
+        packed, dense = _both_euclids(bits)
+        assert packed == dense, (n, zeros)
+
+
+def test_laurent_cf_consumed_degree_bound():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randrange(1, 120)
+        bits = [1] + [rng.randrange(2) for _ in range(n - 1)]
+        cf = laurent_cf(CoeffSeq(GF2, bits, origin=1))
+        total = sum(q.degree for q in cf.quotients)
+        assert 2 * total <= n  # guaranteed quotients never overrun the data
+        assert cf.next_degree_bound >= 1
 
 
 def test_laurent_cf_worked_example():

@@ -1,12 +1,15 @@
 """End-to-end command line checks through main(argv)."""
 
 import csv
+import importlib
 import json
+import pkgutil
 import random
 
 import pytest
 from hankel_oracle import bareiss_values, hankel_by_columns, hankel_parities
 
+import plcpkit
 from plcpkit import cli
 from plcpkit.field import (
     GF2,
@@ -31,6 +34,17 @@ def test_version_smoke(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "plcpkit" in capsys.readouterr().out
+
+
+def test_every_export_resolves():
+    # a deleted function must not leave its name behind in an __all__
+    exported = 0
+    for info in pkgutil.iter_modules(plcpkit.__path__):
+        module = importlib.import_module(f"plcpkit.{info.name}")
+        names = getattr(module, "__all__", ())
+        assert [n for n in names if not hasattr(module, n)] == [], info.name
+        exported += len(names)
+    assert exported
 
 
 def test_gen_stdout_matches_file_output(capsys, tmp_path):
@@ -333,7 +347,7 @@ def test_verify_report_file(capsys, tmp_path):
     assert rc == 0 and out == ""
     text = report_path.read_text()
     assert text.startswith("plcpkit-report-version: 1\n")
-    assert "backend: " in text
+    assert "\nbackend: pure-python\n" in text
     assert "verdict: ok" in text
 
 

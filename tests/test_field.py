@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from cf_oracle import series_inverse
 from hypothesis import given, strategies as st
@@ -11,7 +13,9 @@ from plcpkit.field import (
     SequenceFormatError,
     dumps_sequence,
     loads_sequence,
+    pack_bits,
     poly_gcd,
+    unpack_bits,
 )
 
 primes = st.sampled_from([2, 3, 5, 7, 13])
@@ -40,17 +44,18 @@ def test_prime_field_rejects_composites():
 
 def test_gf2_is_prime_field_two():
     assert GF2.p == 2
-    assert GF2.add(1, 1) == 0
     assert GF2.inv(1) == 1
 
 
 @given(field_and_elems())
 def test_field_ops_match_int_arithmetic(fab):
+    # residue arithmetic lives in DensePoly: constants add and multiply mod p
     f, a, b = fab
-    assert f.add(a, b) == (a + b) % f.p
-    assert f.sub(a, b) == (a - b) % f.p
-    assert f.mul(a, b) == (a * b) % f.p
-    assert f.neg(a) == (-a) % f.p
+    pa, pb = DensePoly(f, [a]), DensePoly(f, [b])
+    assert pa + pb == DensePoly(f, [(a + b) % f.p])
+    assert pa - pb == DensePoly(f, [(a - b) % f.p])
+    assert pa * pb == pa * b == DensePoly(f, [(a * b) % f.p])
+    assert -pa == DensePoly(f, [(-a) % f.p])
 
 
 @given(field_and_elems(count=1))
@@ -60,7 +65,7 @@ def test_field_inverse(fa):
         with pytest.raises(ZeroDivisionError):
             f.inv(a)
     else:
-        assert f.mul(a, f.inv(a)) == 1
+        assert a * f.inv(a) % f.p == 1
 
 
 def test_poly_basics():
@@ -68,7 +73,7 @@ def test_poly_basics():
     z = DensePoly.zero(f)
     assert z.degree == NEG_INF
     assert DensePoly.one(f).degree == 0
-    t = DensePoly.t(f)
+    t = DensePoly.monomial(f, 1)
     assert t.degree == 1
     assert (t * t + DensePoly.one(f)).coeffs == (1, 0, 1)
     # trailing zeros are normalized away
@@ -151,6 +156,12 @@ def _low_terms(poly, n):
     return tuple(poly.coefficient(i) for i in range(n))
 
 
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=96))
+def test_pack_unpack_round_trip(bits):
+    packed = pack_bits(bits)
+    assert unpack_bits(packed, len(bits)) == list(bits)
+
+
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=40).filter(lambda v: v[0] == 1))
 def test_series_inverse_property(bits):
     prod = DensePoly(GF2, bits) * DensePoly(GF2, series_inverse(GF2, bits))
@@ -165,6 +176,14 @@ def test_series_inverse_generic(f, data):
     ]
     prod = DensePoly(f, coeffs) * DensePoly(f, series_inverse(f, coeffs))
     assert _low_terms(prod, n) == (1,) + (0,) * (n - 1)
+
+
+def test_inverse_is_multiplicative_inverse():
+    rng = random.Random(5)
+    for n in (1, 2, 17, 64, 65, 200):
+        bits = [1] + [rng.randrange(2) for _ in range(n - 1)]
+        prod = DensePoly(GF2, bits) * DensePoly(GF2, series_inverse(GF2, bits))
+        assert [prod.coefficient(k) for k in range(n)] == [1] + [0] * (n - 1)
 
 
 def test_series_inverse_needs_unit():
@@ -207,3 +226,18 @@ def test_parse_length_mismatch():
 def test_bits_form_rejected_for_odd_fields():
     with pytest.raises(SequenceFormatError):
         loads_sequence("# field=3 origin=0 length=2\nbits=10\n")
+
+
+@pytest.mark.parametrize(
+    "data, message, line, column",
+    [
+        ("bits=10\n1 1\n", "after the bits= line 2", 3, 1),
+        ("bits=10\n  bits=11\n", "after the bits= line 2", 3, 3),
+        ("1 1\n bits=10\n", "bits= after residue data", 3, 2),
+    ],
+    ids=["residues-after-bits", "second-bits-line", "bits-after-residues"],
+)
+def test_bits_line_is_the_only_data_line(data, message, line, column):
+    with pytest.raises(SequenceFormatError, match=message) as e:
+        loads_sequence("# field=2 origin=0 length=4\n" + data)
+    assert (e.value.line, e.value.column) == (line, column)

@@ -21,7 +21,6 @@ from plcpkit import hankel
 from plcpkit.hankel import (
     _MERSENNE_EXPONENTS,
     ApwwResult,
-    HankelReport,
     _f2_parities,
     _lift_modulus,
     _mod_p_values,
@@ -30,9 +29,8 @@ from plcpkit.hankel import (
     hankel_integer_pm1,
     hankel_mod_p,
     is_apwenian_hankel,
-    is_apwenian_recurrence,
 )
-from plcpkit.lincomplex import lcp_profile
+from plcpkit.lincomplex import lcp_profile, recurrence_check
 from plcpkit.seqgen import BitSource, named_sequence, phi2_selector
 
 GF2 = PrimeField(2)
@@ -207,11 +205,6 @@ def test_mod_p_input_validation():
         hankel_mod_p(c, 0)
 
 
-def test_report_length_guard():
-    with pytest.raises(ValueError, match="orders"):
-        HankelReport(modulus=2, values=(1,), max_order=2, source_length=3)
-
-
 def test_apww_small_orders_exact():
     res = apww_check(6)
     assert res.ok and bool(res)
@@ -235,7 +228,7 @@ def test_apwenian_routes_agree_exhaustively():
         for x in range(1 << (length - 1)):
             terms = [1] + [(x >> i) & 1 for i in range(length - 1)]
             c = CoeffSeq(GF2, terms, origin=0)
-            assert is_apwenian_hankel(c) == is_apwenian_recurrence(c), terms
+            assert is_apwenian_hankel(c) == recurrence_check(c), terms
 
 
 def test_apwenian_known_families():
@@ -245,7 +238,7 @@ def test_apwenian_known_families():
     assert is_apwenian_hankel(z)
     flat = CoeffSeq(GF2, [1, 0, 0, 0], origin=0)
     assert not is_apwenian_hankel(flat)
-    assert not is_apwenian_recurrence(flat)
+    assert not recurrence_check(flat)
 
 
 def test_apwenian_input_validation():
@@ -256,7 +249,7 @@ def test_apwenian_input_validation():
     with pytest.raises(ValueError, match="leading"):
         is_apwenian_hankel(CoeffSeq(GF2, [0, 1, 1], origin=0))
     with pytest.raises(ValueError, match="leading"):
-        is_apwenian_recurrence(CoeffSeq(GF2, [0, 1, 1], origin=0))
+        recurrence_check(CoeffSeq(GF2, [0, 1, 1], origin=0))
 
 
 def test_apww_rejects_bad_order():
@@ -381,6 +374,15 @@ def test_one_pass_matches_per_order_kernel_on_long_inputs(bits):
     assert first_even_hankel_order(c) == first_zero(per_order)
     if bits[0] == 1:
         assert is_apwenian_hankel(c) == all(v == 1 for v in per_order)
+
+
+def test_one_pass_matches_per_order_kernel_at_word_boundaries():
+    # word-boundary and multi-word lengths that hypothesis rarely reaches
+    rng = random.Random(20240229)
+    for n in (63, 64, 65, 127, 128, 129, 1000, 4096):
+        bits = [1] + [rng.randrange(2) for _ in range(n - 1)]
+        c, m = CoeffSeq(GF2, bits, origin=0), min((n + 1) // 2, 128)
+        assert list(hankel_mod_p(c, m).values) == hankel_parities(bits, m), n
 
 
 def test_late_first_even_order_in_flipped_phi2_prefixes():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -73,11 +74,36 @@ def test_profile_exhaustive_short():
             assert prof.values == tuple(lc_bruteforce(s, k) for k in range(1, n + 1))
 
 
-@given(f2_seqs)
-def test_incremental_bm_matches_batch(s):
+def _pushed_and_batch(bits):
+    # the generic-field push and the packed F2 batch profile
     bm = BerlekampMassey(GF2)
-    incremental = [bm.push(t) for t in s.terms]
-    assert tuple(incremental) == lcp_profile(s).values
+    return tuple(bm.push(t) for t in bits), lcp_profile(CoeffSeq(GF2, bits, origin=1)).values
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=96))
+def test_incremental_bm_matches_batch(bits):
+    pushed, batch = _pushed_and_batch(bits)
+    assert pushed == batch
+
+
+def test_incremental_bm_matches_batch_on_long_inputs():
+    # word-boundary and multi-word lengths that hypothesis rarely reaches
+    rng = random.Random(20240229)
+    for n in (63, 64, 65, 127, 128, 129, 1000, 4096):
+        bits = [1] + [rng.randrange(2) for _ in range(n - 1)]
+        pushed, batch = _pushed_and_batch(bits)
+        assert pushed == batch, n
+
+
+def test_profile_worked_examples():
+    def profile(bits):
+        return lcp_profile(CoeffSeq(GF2, bits, origin=1)).values
+
+    # wrong-guess jump: L goes 1,1,2,2 on 1,0,1,1
+    assert profile([1, 0, 1, 1]) == (1, 1, 2, 2)
+    # leading zeros: L(n) = 0 until the first one, then n
+    assert profile([0, 0, 1]) == (0, 0, 3)
+    assert profile([0, 0, 0]) == (0, 0, 0)
 
 
 def test_bm_connection_annihilates_sequence():
