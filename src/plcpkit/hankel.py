@@ -12,21 +12,31 @@ row k-1 are exactly 0..k-1, the first k rows on the first k columns are
 a row-permuted triangular matrix and H_k = sign(sigma_k) times the
 product of the pivot entries, sigma_k mapping each row to its pivot
 column; otherwise H_k = 0.  Once a row reduces to zero, the rows so far
-are dependent and every later order is 0.  Over F2 the rows are packed
-ints and only the parity is kept (`_f2_parities`, O(m^3/64) bit
-operations); `first_even_hankel_order` stops it at the first even
-order.  For odd p (`_mod_p_values`, O(m^3) field operations) the pivot
-rows are scaled to a leading 1 and the sign is kept as a running
-inversion count.  The pass uses only the Hankel entries, so this route
-stays independent of the profile, the recurrences and the continued
-fraction.  It is the one route in the package; the tests check it
-against the eliminations it replaced, kept in `tests/hankel_oracle.py`:
-a column-pivoted elimination of each order on its own, which they
-check against a Leibniz expansion, over F2 a per-order packed
-elimination, and for +-1 entries per-order Bareiss.  The exact integers
-of a +-1 prefix are the odd-p pass mod one Mersenne prime P, each lifted
-to (-P/2, P/2): Hadamard's bound |H_k| <= k^(k/2) grows with k, so
-P^2 > 4 m^m makes every lift, k <= m, exact.
+are dependent and every later order is 0.
+
+Over F2 the rows are packed ints and only the parity is kept
+(`_f2_parities`, O(m^3/64) bit operations); `first_even_hankel_order`
+stops it at the first even order.  Its pivots are grouped by the method
+of Four Russians (Arlazarov, Dinic, Kronrod and Faradzev): once the
+pivot columns cover an aligned group of six, in any order, the group's
+pivots become one table of their 64 sums, and one lookup clears all six
+columns of a row.  A row has only one reduced form, since one sum of
+the pivots clears every pivot column, so the grouping changes no reduced
+row, pivot or parity.  It cuts the Python steps of orders 1..m from
+about m^2/2 to about m^2/12, for m/6 tables of 64 rows.  For odd p
+(`_mod_p_values`, O(m^3) field operations) the pivot rows are scaled to
+a leading 1 and the sign is kept as a running inversion count.
+
+The pass uses only the Hankel entries, so this route stays independent
+of the profile, the recurrences and the continued fraction.  It is the
+one route in the package; the tests check it against the eliminations
+it replaced, kept in `tests/hankel_oracle.py`: a column-pivoted
+elimination of each order on its own, which they check against a
+Leibniz expansion, over F2 a per-order packed elimination and the
+ungrouped pass, and for +-1 entries per-order Bareiss.  The exact
+integers of a +-1 prefix are the odd-p pass mod one Mersenne prime P,
+each lifted to (-P/2, P/2): Hadamard's bound |H_k| <= k^(k/2) grows
+with k, so P^2 > 4 m^m makes every lift, k <= m, exact.
 """
 
 from __future__ import annotations
@@ -67,25 +77,61 @@ def _f2_rows(terms, m):
     return ((full >> k) & mask for k in range(m))
 
 
+_GROUP = 6  # pivot columns per table, so a table has 64 rows
+_FULL = (1 << _GROUP) - 1
+
+
+def _group_table(pivots, g):
+    """The 64 sums of the pivots with lowest bits g..g+5, indexed by those columns.
+
+    The pivots are first reduced within the six columns, so pivot j has
+    bit g+j and no other bit there; bit i of an index then picks pivot i.
+    """
+    red = list(pivots)
+    for j in range(_GROUP - 2, -1, -1):
+        for t in range(j + 1, _GROUP):
+            if red[j] >> (g + t) & 1:
+                red[j] ^= red[t]
+    table = [0] * (1 << _GROUP)
+    for i in range(1, 1 << _GROUP):
+        low = i & -i
+        table[i] = table[i ^ low] ^ red[low.bit_length() - 1]
+    return tuple(table)
+
+
 def _f2_parities(rows):
     """Yield the parities of the leading minors of packed F2 rows, in order.
 
-    Bit j of a row is its column j; see the module docstring.
+    Bit j of a row is its column j; see the module docstring.  A row is
+    reduced by steps (shift, mask, table) in increasing shift, each
+    `row ^= table[row >> shift & mask]`.  A lone pivot with lowest bit c
+    is the step (c, 1, (0, pivot)).  Once the pivot columns cover a group
+    g..g+5 (g a multiple of `_GROUP`), its six steps become one step
+    whose table holds all 64 sums of its pivots.  Only one sum of those
+    pivots clears the six columns, so each reduced row is the one the
+    pivot-by-pivot pass gives (`one_pass_parities` in the tests).  Still
+    O(m^3/64) bit operations, in about m^2/12 Python steps instead of
+    m^2/2; the m/6 tables hold 64 rows each.
     """
     rows = iter(rows)
-    pivots = []  # (lowest set bit, row), sorted by that bit
+    steps = []  # (shift, mask, table), sorted by shift
     cols = 0  # union of the pivots' lowest set bits
     for k, row in enumerate(rows):
-        for low, piv in pivots:  # increasing: a pivot only sets bits above its own
-            if row & low:
-                row ^= piv
+        for shift, mask, table in steps:  # increasing: a step only sets bits above its own
+            row ^= table[row >> shift & mask]
         if not row:  # rows 0..k are dependent: this and every later minor is 0
             yield 0
             yield from (0 for _ in rows)
             return
         low = row & -row
-        insort(pivots, (low, row))
         cols |= low
+        c = low.bit_length() - 1
+        insort(steps, (c, 1, (0, row)))  # the shifts are distinct, so tables never compare
+        g = c - c % _GROUP
+        if cols >> g & _FULL == _FULL:
+            at = bisect(steps, (g,))
+            group = steps[at : at + _GROUP]
+            steps[at : at + _GROUP] = [(g, _FULL, _group_table([t[1] for _, _, t in group], g))]
         yield 1 if cols == (2 << k) - 1 else 0
 
 

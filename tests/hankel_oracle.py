@@ -13,7 +13,13 @@ so no order depends on the pivots of another:
   of integer matrices, O(m^4) exact operations, the route
   `hankel_integer_pm1` took for +-1 entries before the pass mod a
   Mersenne prime replaced it.
+
+`one_pass_parities` is the one incremental F2 elimination as it stood
+before its pivots were grouped into Four-Russians tables: it reduces a
+row by one pivot at a time, O(m^2/2) Python steps for orders 1..m.
 """
+
+from bisect import insort
 
 from plcpkit.field import CoeffSeq, PrimeField, pack_bits
 
@@ -52,6 +58,31 @@ def hankel_parities(bits, m):
     if 2 * m - 1 > len(bits):
         raise ValueError(f"need 2*{m}-1 terms, have {len(bits)}")
     return [order_parity(bits, n) for n in range(1, m + 1)]
+
+
+def one_pass_parities(rows):
+    """Yield the parities of the leading minors of packed F2 rows, in order.
+
+    Bit j of a row is its column j.  Row k is reduced by the pivots kept
+    so far in increasing order of lowest set bit, one at a time, and
+    then kept as a pivot; the order-(k+1) minor is odd exactly when the
+    pivots' lowest bits are columns 0..k.
+    """
+    rows = iter(rows)
+    pivots = []  # (lowest set bit, row), sorted by that bit
+    cols = 0  # union of the pivots' lowest set bits
+    for k, row in enumerate(rows):
+        for low, piv in pivots:  # increasing: a pivot only sets bits above its own
+            if row & low:
+                row ^= piv
+        if not row:  # rows 0..k are dependent: this and every later minor is 0
+            yield 0
+            yield from (0 for _ in rows)
+            return
+        low = row & -row
+        insort(pivots, (low, row))
+        cols |= low
+        yield 1 if cols == (2 << k) - 1 else 0
 
 
 def det_mod_p(rows, field: PrimeField) -> int:

@@ -187,6 +187,28 @@ def test_hankel_table_past_the_first_even_order(capsys, tmp_path):
         assert list(csv.reader(fh)) == [["n", "value", "odd"]] + [list(row) for row in rows]
 
 
+def test_hankel_table_of_a_perfect_prefix_at_order_256(capsys, tmp_path):
+    # every order odd: the pass fills 42 six-column tables on the way
+    bits = list(phi2_selector(BitSource.seeded(12), 512).terms)
+    seq_path = tmp_path / "phi2.seq"
+    write_sequence(CoeffSeq(GF2, bits, origin=0), seq_path)
+    parities = hankel_parities(bits, 256)
+    assert parities == [1] * 256
+    rows = [(str(n), str(v), "true" if v else "false") for n, v in enumerate(parities, start=1)]
+    rc, out, err = run(capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "256")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["hankel determinants (mod 2), orders 1..256", "n\tvalue\todd"]
+    assert lines[2:] == ["\t".join(row) for row in rows]
+    csv_path = tmp_path / "phi2.csv"
+    rc, out, err = run(
+        capsys, "analyze", "hankel", "--in", str(seq_path), "--max", "256", "--csv", str(csv_path)
+    )
+    assert rc == 0 and out == ""
+    with open(csv_path, newline="") as fh:
+        assert list(csv.reader(fh)) == [["n", "value", "odd"]] + [list(row) for row in rows]
+
+
 def test_hankel_table_over_f5(capsys, tmp_path):
     # c_0 = 0 makes H_1 = 0; nonzero and zero orders follow it up to --max
     rng = random.Random(14)

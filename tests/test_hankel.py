@@ -4,7 +4,8 @@
 read one incremental elimination; the per-order eliminations of
 `hankel_oracle` (column pivoting over every field, over F2
 `hankel_parities`, and for exact +-1 values `bareiss_values`) are its
-oracles here.
+oracles here, and over F2 so is `one_pass_parities`, the pass as it was
+before its pivots were grouped into tables.
 """
 
 import itertools
@@ -12,16 +13,24 @@ import random
 import time
 
 import pytest
-from hankel_oracle import bareiss_values, hankel_by_columns, hankel_parities, order_parity
+from hankel_oracle import (
+    bareiss_values,
+    det_mod_p,
+    hankel_by_columns,
+    hankel_parities,
+    one_pass_parities,
+    order_parity,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plcpkit.field import CoeffSeq, PrimeField
+from plcpkit.field import CoeffSeq, PrimeField, pack_bits, unpack_bits
 from plcpkit import hankel
 from plcpkit.hankel import (
     _MERSENNE_EXPONENTS,
     ApwwResult,
     _f2_parities,
+    _group_table,
     _lift_modulus,
     _mod_p_values,
     apww_check,
@@ -96,6 +105,61 @@ def test_row_passes_read_the_leading_minors_of_any_matrix(p, n, data):
         packed = [sum(b << j for j, b in enumerate(r)) for r in rows]
         assert list(_f2_parities(packed)) == minors
     assert list(_mod_p_values(rows, p)) == minors
+
+
+@st.composite
+def f2_matrices(draw):
+    # a row with its low half zeroed takes a late pivot column early, so
+    # six-column groups fill out of column order, and often before the
+    # leading minors turn odd again
+    n = draw(st.integers(1, 24))
+    rows = []
+    for _ in range(n):
+        row = draw(st.integers(0, (1 << n) - 1))
+        if draw(st.booleans()):
+            row &= -1 << (n // 2)
+        rows.append(row)
+    return n, rows
+
+
+@given(f2_matrices())
+def test_f2_pass_reads_the_leading_minors_of_matrices_to_order_24(nr):
+    n, rows = nr
+    cells = [unpack_bits(r, n) for r in rows]
+    minors = [det_mod_p([r[:k] for r in cells[:k]], GF2) for k in range(1, n + 1)]
+    assert list(_f2_parities(rows)) == minors == list(one_pass_parities(rows))
+
+
+def test_f2_tables_fill_out_of_column_order(monkeypatch):
+    # distinct lowest bits stay the pivot columns: groups 12, 0, 6 fill in turn
+    rng = random.Random(24)
+    lows = list(range(12, 18)) + list(range(6)) + list(range(6, 12))
+    rows = [1 << c | rng.getrandbits(18 - c) << c for c in lows]
+    built = []
+
+    def table(pivots, g):
+        built.append(g)
+        return _group_table(pivots, g)
+
+    monkeypatch.setattr(hankel, "_group_table", table)
+    cells = [unpack_bits(r, 18) for r in rows]
+    minors = [det_mod_p([r[:k] for r in cells[:k]], GF2) for k in range(1, 19)]
+    assert list(_f2_parities(rows)) == minors == list(one_pass_parities(rows))
+    assert built == [12, 0, 6] and minors[-1] == 1 and 0 in minors
+
+
+def test_group_table_holds_every_sum_of_its_pivots():
+    # entry i is the one sum of the six pivots whose columns g..g+5 read i
+    rng = random.Random(6)
+    for g in (0, 6, 42):
+        pivots = [1 << (g + j) | rng.getrandbits(60) << (g + j) for j in range(6)]
+        table = _group_table(pivots, g)
+        for subset in range(64):
+            total = 0
+            for j in range(6):
+                if subset >> j & 1:
+                    total ^= pivots[j]
+            assert table[total >> g & 63] == total
 
 
 @given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=11))
@@ -394,6 +458,47 @@ def test_late_first_even_order_in_flipped_phi2_prefixes():
         values = hankel_mod_p(c, 256).values
         assert values[: k - 1] == (1,) * (k - 1) and values[k - 1] == 0
         assert 0 < values.count(1) - (k - 1) < 256 - k  # odd and even orders follow
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 11, 12, 13, 36, 37])
+def test_f2_orders_around_group_boundaries(m):
+    # one, two and six full groups, with 0, 1 and 5 columns past the last
+    rng = random.Random(m)
+    length = 2 * m - 1
+    for bits in (
+        phi2_prefix(m, length),
+        flipped(phi2_prefix(m, length), length - 3),
+        [1] + rng.choices((0, 1), k=length - 1),
+    ):
+        c = CoeffSeq(GF2, bits, origin=0)
+        per_order = hankel_parities(bits, m)
+        assert list(hankel_mod_p(c, m).values) == per_order
+        assert list(one_pass_parities(packed_hankel_rows(bits, m))) == per_order
+        assert first_even_hankel_order(c) == first_zero(per_order)
+
+
+def packed_hankel_rows(bits, m):
+    full, mask = pack_bits(bits[: 2 * m - 1]), (1 << m) - 1
+    return [(full >> k) & mask for k in range(m)]
+
+
+@pytest.mark.parametrize(
+    "bits, first_even",
+    [
+        ([1] + random.Random(256).choices((0, 1), k=510), 2),
+        (phi2_prefix(7, 4096), None),
+        (flipped(phi2_prefix(7, 4096), 3001), 1502),
+    ],
+    ids=["random-511", "phi2-4096", "phi2-4096-flip-3001"],
+)
+def test_grouped_pass_matches_the_ungrouped_pass_on_long_inputs(bits, first_even):
+    # the ungrouped pass is O(m^3/64) too; a per-order oracle is too slow at m = 2048
+    c, m = CoeffSeq(GF2, bits, origin=0), (len(bits) + 1) // 2
+    values = hankel_mod_p(c, m).values
+    assert list(values) == list(one_pass_parities(packed_hankel_rows(bits, m)))
+    assert first_even_hankel_order(c) == first_zero(values) == first_even
+    if first_even is not None:
+        assert 1 in values[first_even:] and 0 in values[first_even:]  # the pass runs on past it
 
 
 def test_one_pass_on_phi2_length_1024():
