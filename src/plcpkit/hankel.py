@@ -130,8 +130,8 @@ def _f2_parities(rows):
         g = c - c % _GROUP
         if cols >> g & _FULL == _FULL:
             at = bisect(steps, (g,))
-            group = steps[at : at + _GROUP]
-            steps[at : at + _GROUP] = [(g, _FULL, _group_table([t[1] for _, _, t in group], g))]
+            pivots = [t[1] for _, _, t in steps[at : at + _GROUP]]
+            steps[at : at + _GROUP] = [(g, _FULL, _group_table(pivots, g))]
         yield 1 if cols == (2 << k) - 1 else 0
 
 

@@ -24,12 +24,13 @@ from hankel_oracle import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plcpkit.field import CoeffSeq, PrimeField, pack_bits, unpack_bits
+from plcpkit.field import CoeffSeq, PrimeField, unpack_bits
 from plcpkit import hankel
 from plcpkit.hankel import (
     _MERSENNE_EXPONENTS,
     ApwwResult,
     _f2_parities,
+    _f2_rows,
     _group_table,
     _lift_modulus,
     _mod_p_values,
@@ -473,13 +474,8 @@ def test_f2_orders_around_group_boundaries(m):
         c = CoeffSeq(GF2, bits, origin=0)
         per_order = hankel_parities(bits, m)
         assert list(hankel_mod_p(c, m).values) == per_order
-        assert list(one_pass_parities(packed_hankel_rows(bits, m))) == per_order
+        assert list(one_pass_parities(_f2_rows(bits, m))) == per_order
         assert first_even_hankel_order(c) == first_zero(per_order)
-
-
-def packed_hankel_rows(bits, m):
-    full, mask = pack_bits(bits[: 2 * m - 1]), (1 << m) - 1
-    return [(full >> k) & mask for k in range(m)]
 
 
 @pytest.mark.parametrize(
@@ -495,7 +491,7 @@ def test_grouped_pass_matches_the_ungrouped_pass_on_long_inputs(bits, first_even
     # the ungrouped pass is O(m^3/64) too; a per-order oracle is too slow at m = 2048
     c, m = CoeffSeq(GF2, bits, origin=0), (len(bits) + 1) // 2
     values = hankel_mod_p(c, m).values
-    assert list(values) == list(one_pass_parities(packed_hankel_rows(bits, m)))
+    assert list(values) == list(one_pass_parities(_f2_rows(bits, m)))
     assert first_even_hankel_order(c) == first_zero(values) == first_even
     if first_even is not None:
         assert 1 in values[first_even:] and 0 in values[first_even:]  # the pass runs on past it
