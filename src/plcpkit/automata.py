@@ -68,7 +68,6 @@ class KernelClass:
     index: int
     k: int  # witness depth: this class is s[2^k n + j]
     j: int
-    depth: int
     terms: tuple  # all known terms of the representative
 
     def prefix(self, tau: int) -> tuple:
@@ -79,8 +78,7 @@ class KernelClass:
 class KernelReport:
     tau: int
     max_classes: int
-    source_length: int
-    classes: list
+    classes: list  # class 0 is the whole input
     edges: dict  # (class index, "T0"|"T1") -> class index
     unresolved: list  # (parent index, op, k, j) children too short to compare
     bound_reason: str | None  # "max-classes" | "precision" | None
@@ -99,7 +97,7 @@ class KernelReport:
     def summary(self) -> str:
         lines = [
             f"classes: {len(self.classes)}"
-            f" (tau={self.tau}, max-classes={self.max_classes}, N={self.source_length})",
+            f" (tau={self.tau}, max-classes={self.max_classes}, N={len(self.classes[0].terms)})",
             f"closed: {str(self.closed).lower()}",
             f"bound-hit: {str(self.bound_hit).lower()}"
             + (f" ({self.bound_reason})" if self.bound_reason else ""),
@@ -149,14 +147,14 @@ def kernel_explore(s: CoeffSeq, tau: int = 64, max_classes: int = 256) -> Kernel
                 return idx
         return None
 
-    def add_class(k, j, depth, terms):
-        cls = KernelClass(len(classes), k, j, depth, terms)
+    def add_class(k, j, terms):
+        cls = KernelClass(len(classes), k, j, terms)
         classes.append(cls)
         by_prefix.setdefault(terms[:tau], []).append(cls.index)
         queue.append(cls.index)
         return cls.index
 
-    add_class(0, 0, 0, tuple(s.terms))
+    add_class(0, 0, tuple(s.terms))
     while queue:
         if out_of_budget:
             break
@@ -173,7 +171,7 @@ def kernel_explore(s: CoeffSeq, tau: int = 64, max_classes: int = 256) -> Kernel
                 if len(classes) >= max_classes:
                     out_of_budget = True
                     break
-                idx = add_class(child_k, child_j, cur.depth + 1, child_terms)
+                idx = add_class(child_k, child_j, child_terms)
             edges[(cur.index, op)] = idx
 
     if out_of_budget:
@@ -185,7 +183,6 @@ def kernel_explore(s: CoeffSeq, tau: int = 64, max_classes: int = 256) -> Kernel
     return KernelReport(
         tau=tau,
         max_classes=max_classes,
-        source_length=len(s),
         classes=classes,
         edges=edges,
         unresolved=unresolved,

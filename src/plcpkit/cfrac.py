@@ -219,7 +219,7 @@ def profile_from_cf(cf: ContinuedFraction, n_max: int) -> LCProfile:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    degs = [int(q.degree) for q in cf.quotients]
+    degs = cf.degrees()
     cum = [0]
     for d in degs:
         cum.append(cum[-1] + d)
@@ -242,7 +242,7 @@ def max_pq_degree(cf: ContinuedFraction) -> int:
     """Largest degree among the partial quotients."""
     if not cf.quotients:
         raise ValueError("no guaranteed partial quotients")
-    return max(int(q.degree) for q in cf.quotients)
+    return max(cf.degrees())
 
 
 def has_flat_expansion(cf: ContinuedFraction, n: int) -> bool:
@@ -260,7 +260,7 @@ def has_flat_expansion(cf: ContinuedFraction, n: int) -> bool:
         return False
     if cf.next_degree_bound != 1:
         return False
-    return all(q.degree == 1 for q in cf.quotients)
+    return all(d == 1 for d in cf.degrees())
 
 
 def series_prefix_of_fraction(f: DensePoly, g: DensePoly, n: int) -> CoeffSeq:
@@ -300,6 +300,6 @@ def orthogonal_multiplicity(g: DensePoly) -> int:
         if poly_gcd(f, g).degree != 0:
             continue
         cf = rational_cf(f, g)
-        if cf.quotients and all(q.degree == 1 for q in cf.quotients):
+        if cf.quotients and all(d == 1 for d in cf.degrees()):
             count += 1
     return count

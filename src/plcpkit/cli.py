@@ -28,6 +28,7 @@ from plcpkit.field import (
 from plcpkit.hankel import hankel_integer_pm1, hankel_mod_p, is_apwenian_hankel
 from plcpkit.lincomplex import is_plcp, lcp_profile, recurrence_check
 from plcpkit.seqgen import (
+    _SPELLINGS,
     BitSource,
     derive_seed,
     named_sequence,
@@ -44,15 +45,7 @@ EXIT_DISAGREE = 2
 REPORT_FORMAT = 1
 
 _B_FAMILIES = ("phi1", "phi2", "phi3")
-_FAMILIES = ("rueppel1", "rueppel2") + _B_FAMILIES + (
-    "pd",
-    "period-doubling",
-    "thue-morse",
-    "z",
-    "z-seq",
-    "w",
-    "w-seq",
-)
+_FAMILIES = ("rueppel1", "rueppel2") + _B_FAMILIES + tuple(_SPELLINGS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,7 +204,7 @@ def _cmd_cf(args):
         "invocation": f"plcpkit analyze cf --in {args.infile}",
         "field": cf.field.p,
         "integer-part": cf.integer_part.to_string(),
-        "degrees": [int(q.degree) for q in cf.quotients],
+        "degrees": list(cf.degrees()),
         "quotients": [q.to_string() for q in cf.quotients],
         "units": list(cf.units),
         "guaranteed-count": cf.guaranteed_count,
@@ -219,11 +212,7 @@ def _cmd_cf(args):
         "max-degree": max_pq_degree(cf) if cf.guaranteed_count else None,
         "flat": has_flat_expansion(cf, len(seq)),
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.json:
-        _write_text(args.json, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.json or None, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -293,13 +282,14 @@ def _cmd_om(args):
 
 def five_property_battery(s1: CoeffSeq) -> dict:
     """The five equivalent characterizations, each computed by its own route."""
-    c0 = s1.shift_index(0)
+    # faces 3 and 4 are one relation on the same stored terms: one check answers both
+    recurrence = recurrence_check(s1)
     return {
         "profile-perfect": is_plcp(lcp_profile(s1)),
         "cf-flat": has_flat_expansion(laurent_cf(s1), len(s1)),
-        "shift-recurrence": recurrence_check(s1),
-        "apwenian-recurrence": recurrence_check(c0),
-        "hankel-all-odd": is_apwenian_hankel(c0),
+        "shift-recurrence": recurrence,
+        "apwenian-recurrence": recurrence,
+        "hankel-all-odd": is_apwenian_hankel(s1.shift_index(0)),
     }
 
 

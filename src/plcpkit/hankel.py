@@ -63,7 +63,6 @@ class HankelReport:
 
     modulus: int | None
     values: tuple
-    source_length: int
 
     @property
     def max_order(self) -> int:
@@ -187,7 +186,7 @@ def hankel_mod_p(c: CoeffSeq, max_order: int) -> HankelReport:
         values = tuple(_f2_parities(_f2_rows(t, m)))
     else:
         values = tuple(_mod_p_values((t[k : k + m] for k in range(m)), c.field.p))
-    return HankelReport(modulus=c.field.p, values=values, source_length=len(c))
+    return HankelReport(modulus=c.field.p, values=values)
 
 
 def first_even_hankel_order(c: CoeffSeq) -> int | None:
@@ -247,7 +246,7 @@ def hankel_integer_pm1(entries, max_order: int) -> HankelReport:
         raise ValueError(f"max_order must be <= 6970 for exact values, got {max_order}")
     rows = ([int(x) % p for x in ee[k : k + max_order]] for k in range(max_order))
     values = tuple(v - p if 2 * v > p else v for v in _mod_p_values(rows, p))
-    return HankelReport(modulus=None, values=values, source_length=len(ee))
+    return HankelReport(modulus=None, values=values)
 
 
 @dataclass(frozen=True)

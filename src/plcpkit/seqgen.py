@@ -1,16 +1,17 @@
 """Generators for the studied binary sequence families.
 
 All of them are driven by a `BitSource`, a deterministic stream of
-bits b_0, b_1, ...  Seeded sources use SplitMix64: the state advances
-by the 64-bit golden ratio and each output word is finalized with two
-xor-shift-multiply rounds; words are consumed least significant bit
-first, so bit index i of the stream is bit (i mod 64) of word i // 64.
+bits b_0, b_1, ...  Seeded sources use SplitMix64 in counter form
+(Steele, Lea and Flood, OOPSLA 2014): word k of seed s is
+mix(s + (k+1)*gamma mod 2^64), gamma the 64-bit golden ratio and mix
+two xor-shift-multiply rounds and a final xor-shift.  Words are
+consumed least significant bit first, so bit index i of the stream is
+bit (i mod 64) of word i // 64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from plcpkit.field import GF2, CoeffSeq, unpack_bits
 
@@ -31,27 +32,21 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix64_next(state):
-    state = (state + _GOLDEN) & _M64
-    z = state
+def _splitmix64(state):
+    """The SplitMix64 output for a state, taken mod 2^64."""
+    z = state & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31), state
+    return z ^ (z >> 31)
 
 
 def _splitmix64_words(seed, count):
-    out = []
-    state = seed & _M64
-    for _ in range(count):
-        w, state = _splitmix64_next(state)
-        out.append(w)
-    return out
+    return [_splitmix64(seed + k * _GOLDEN) for k in range(1, count + 1)]
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Per-trial seed: one SplitMix64 output of seed XOR (index+1)*golden."""
-    w, _ = _splitmix64_next((seed ^ ((index + 1) * _GOLDEN)) & _M64)
-    return w
+    """Per-trial seed: word 0 of the stream seeded with seed XOR (index+1)*golden."""
+    return _splitmix64((seed ^ ((index + 1) * _GOLDEN)) + _GOLDEN)
 
 
 class BitSource:
@@ -147,7 +142,7 @@ class BitSource:
             if i < len(self.preperiod):
                 return self.preperiod[i]
             return self.period[(i - len(self.preperiod)) % len(self.period)]
-        word = _splitmix64_words(self.seed, i // 64 + 1)[-1]
+        word = _splitmix64(self.seed + (i // 64 + 1) * _GOLDEN)
         return (word >> (i % 64)) & 1
 
     def take(self, count: int) -> list:
@@ -164,25 +159,14 @@ def rueppel(which: str, n: int) -> CoeffSeq:
     """The two canonical perfect-profile sequences, origin 1.
 
     "first" has ones exactly at the powers of two, "second" exactly at
-    the indices 2^k - 1.
+    the indices 2^k - 1: they are `phi3_generalized_rueppel` of
+    b = 0^omega and b = 1^omega.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    terms = [0] * n
-    if which == "first":
-        k = 1
-        while k <= n:
-            terms[k - 1] = 1
-            k <<= 1
-    elif which == "second":
-        k = 1
-        while k - 1 <= n:
-            if k - 1 >= 1:
-                terms[k - 2] = 1
-            k <<= 1
-    else:
+    if which not in ("first", "second"):
         raise ValueError(f"which must be 'first' or 'second': {which!r}")
-    return CoeffSeq(GF2, terms, origin=1)
+    return phi3_generalized_rueppel(BitSource.periodic("", "0" if which == "first" else "1"), n)
 
 
 def phi3_generalized_rueppel(b: BitSource, n: int) -> CoeffSeq:
@@ -251,12 +235,17 @@ def phi1_jacobi(b: BitSource, n: int) -> CoeffSeq:
     return CoeffSeq(GF2, unpack_bits(quotient, n), origin=0)
 
 
-@lru_cache(maxsize=None)
-def _pd_prefix(n):
-    return tuple(morphism_fixed_point(UniformMorphism((1, 1), (1, 0)), n).terms)
-
-
-_NAME_ALIASES = {"period-doubling": "pd", "z-seq": "z", "w-seq": "w"}
+# every accepted spelling and the sequence it names, in `gen --family` order
+_SPELLINGS = {
+    "pd": "pd",
+    "period-doubling": "pd",
+    "thue-morse": "thue-morse",
+    "z": "z",
+    "z-seq": "z",
+    "w": "w",
+    "w-seq": "w",
+}
+NAMED_SEQUENCES = tuple(dict.fromkeys(_SPELLINGS.values()))
 
 
 def named_sequence(name: str, n: int) -> CoeffSeq:
@@ -264,34 +253,28 @@ def named_sequence(name: str, n: int) -> CoeffSeq:
 
     pd           fixed point of 1 -> 10, 0 -> 11 (origin 0)
     thue-morse   parity of the binary weight of n (origin 0)
-    z            z_1 = 1, z_{2n} = 1 + z_n, z_{2n+1} = 1 (origin 1)
+    z            z_1 = 1, z_{2n} = 1 + z_n, z_{2n+1} = 1 (origin 1); this
+                 is pd indexed from 1, z_n = pd_{n-1}
     w            w_1 = 1, w_{2n+1} = 1 + w_n, w_{2n} = 1 (origin 1)
 
     Long spellings period-doubling / z-seq / w-seq are accepted too.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    name = _NAME_ALIASES.get(name, name)
-    if name == "pd":
-        return CoeffSeq(GF2, _pd_prefix(n), origin=0)
-    if name == "thue-morse":
+    canonical = _SPELLINGS.get(name)
+    if canonical == "pd":
+        return morphism_fixed_point(UniformMorphism((1, 1), (1, 0)), n)
+    if canonical == "z":
+        return named_sequence("pd", n).shift_index(1)
+    if canonical == "thue-morse":
         return CoeffSeq(GF2, [i.bit_count() & 1 for i in range(n)], origin=0)
-    if name == "z":
-        terms = [0] * (n + 1)
-        terms[1] = 1
-        for i in range(2, n + 1):
-            terms[i] = 1 if i % 2 == 1 else (1 + terms[i // 2]) % 2
-        return CoeffSeq(GF2, terms[1:], origin=1)
-    if name == "w":
+    if canonical == "w":
         terms = [0] * (n + 1)
         terms[1] = 1
         for i in range(2, n + 1):
             terms[i] = 1 if i % 2 == 0 else (1 + terms[i // 2]) % 2
         return CoeffSeq(GF2, terms[1:], origin=1)
     raise ValueError(f"unknown sequence name: {name!r}")
-
-
-NAMED_SEQUENCES = ("pd", "thue-morse", "z", "w")
 
 
 @dataclass(frozen=True)
@@ -309,10 +292,6 @@ class UniformMorphism:
             raise ValueError("images must share one length >= 2")
         if not (set(i0) <= {0, 1} and set(i1) <= {0, 1}):
             raise ValueError("images must be over {0, 1}")
-
-    @property
-    def k(self):
-        return len(self.image0)
 
     @property
     def prolongable(self):

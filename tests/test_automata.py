@@ -80,6 +80,16 @@ def test_kernel_budget_and_precision_outcomes():
     assert "bound-hit: true (max-classes)" in capped.summary()
 
 
+def test_kernel_summary_counts_unresolved_children():
+    # class 1 of 200 Thue-Morse terms has 100, so its children (50 each) fall short of tau
+    rep = kernel_explore(named_sequence("thue-morse", 200), tau=64)
+    assert rep.bound_reason == "precision"
+    assert rep.unresolved == [(1, "T0", 2, 1), (1, "T1", 2, 3)]
+    lines = rep.summary().splitlines()
+    assert lines[0] == "classes: 2 (tau=64, max-classes=256, N=200)"
+    assert lines[-1] == "  unresolved children: 2"
+
+
 def test_kernel_rejects_short_input():
     s = CoeffSeq(GF2, [0, 1] * 10, origin=0)
     with pytest.raises(ValueError, match="precision too small"):

@@ -229,6 +229,17 @@ def test_profile_from_cf_requires_origin_one_data():
     assert rec.values == (1, 1, 2, 2)
 
 
+@given(rational_pairs(), st.integers(1, 40))
+def test_profile_from_terminated_cf_matches_berlekamp_massey(pair, n):
+    # a terminated expansion (next_degree_bound None) extends its last block to any n
+    f, g = pair
+    f = f % g  # proper, so the integer part is zero
+    cf = rational_cf(f, g)
+    assert cf.next_degree_bound is None
+    expected = lcp_profile(series_prefix_of_fraction(f, g, n))
+    assert profile_from_cf(cf, n).values == expected.values
+
+
 def brute_om(g):
     """Orthogonal multiplicity by enumerating f and running plain
     polynomial Euclid, independent of the library's cf code.

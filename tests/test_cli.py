@@ -68,6 +68,23 @@ def test_gen_rueppel_worked_example(capsys, tmp_path):
     assert path.read_text() == "# field=2 origin=1 length=8\nbits=11010001\n"
 
 
+def test_gen_rueppel2_worked_example(capsys):
+    rc, out, err = run(capsys, "gen", "--family", "rueppel2", "--length", "8")
+    assert rc == 0
+    assert out == "# field=2 origin=1 length=8\nbits=10100010\n"
+    assert out == dumps_sequence(rueppel("second", 8))
+
+
+def test_gen_lists_every_family_in_order(capsys):
+    rc, out, err = run(capsys, "gen", "--family", "fibonacci", "--length", "8")
+    assert rc == 1
+    assert (
+        "invalid choice: 'fibonacci' (choose from 'rueppel1', 'rueppel2', 'phi1',"
+        " 'phi2', 'phi3', 'pd', 'period-doubling', 'thue-morse', 'z', 'z-seq', 'w',"
+        " 'w-seq')"
+    ) in err
+
+
 def test_gen_echoes_canonical_bit_source(capsys):
     rc, out, err = run(
         capsys, "gen", "--family", "phi3", "--b", "periodic::1", "--length", "8"
@@ -129,6 +146,19 @@ def test_cf_json_document(capsys, tmp_path):
     assert doc["max-degree"] == 1
     assert doc["flat"] is True
     assert len(doc["quotients"]) == len(doc["degrees"])
+
+
+def test_cf_report_on_stdout_equals_the_json_file(capsys, tmp_path):
+    seq_path = tmp_path / "s.seq"
+    run(capsys, "gen", "--family", "phi3", "--b", "periodic:1:001", "--length", "100",
+        "--out", str(seq_path))
+    json_path = tmp_path / "cf.json"
+    rc, out, err = run(capsys, "analyze", "cf", "--in", str(seq_path), "--json", str(json_path))
+    assert rc == 0 and out == ""
+    for extra in ((), ("--json", "")):
+        rc, out, err = run(capsys, "analyze", "cf", "--in", str(seq_path), *extra)
+        assert rc == 0 and out == json_path.read_text()
+    assert json.loads(out)["degrees"] == [1] * 50
 
 
 def test_hankel_table_exact_and_csv(capsys, tmp_path):
@@ -358,6 +388,15 @@ def test_verify_length_floor(capsys):
         capsys, "verify", "--source", "phi2-random", "--length", "4"
     )
     assert rc == 1 and ">= 8" in err
+
+
+def test_verify_usage_errors(capsys, tmp_path):
+    rc, out, err = run(capsys, "verify", "--source", "phi2-random", "--trials", "0")
+    assert (rc, out, err) == (1, "", "error: --trials must be >= 1\n")
+    path = tmp_path / "f3.seq"
+    path.write_text("# field=3 origin=1 length=4\n1 2 0 1\n")
+    rc, out, err = run(capsys, "verify", "--source", "file", "--in", str(path))
+    assert (rc, out, err) == (1, "", "error: verify is defined over field=2 inputs\n")
 
 
 def test_verify_report_file(capsys, tmp_path):

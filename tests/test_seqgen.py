@@ -23,6 +23,21 @@ from plcpkit.seqgen import (
 )
 
 
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _stateful_splitmix64_words(seed, count):
+    # the textbook generator: advance the state by gamma, then mix it
+    out, state = [], seed & _M64
+    for _ in range(count):
+        state = (state + _GOLDEN) & _M64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def test_splitmix64_reference_vector():
     # first outputs for seed 0 from the reference implementation
     assert _splitmix64_words(0, 3) == [
@@ -30,6 +45,20 @@ def test_splitmix64_reference_vector():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, -1, 2**80 + 3])
+def test_counter_form_matches_the_stateful_generator(seed):
+    oracle = _stateful_splitmix64_words(seed, 5001)
+    bits = [(oracle[i // 64] >> (i % 64)) & 1 for i in range(64 * 3)]
+    b = BitSource.seeded(seed)
+    for count in (0, 1, 63, 64, 65, 64 * 3):
+        assert b.take(count) == bits[:count], count
+    for i in (0, 63, 64, 65, 127, 128, 64 * 5000 + 17):
+        assert b.bit(i) == (oracle[i // 64] >> (i % 64)) & 1, i
+    for index in (0, 1, 63, 64, 65):
+        word0 = _stateful_splitmix64_words(seed ^ ((index + 1) * _GOLDEN), 1)[0]
+        assert derive_seed(seed, index) == word0, index
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -84,6 +113,23 @@ def test_rueppel_supports():
     r2 = rueppel("second", 40)
     assert [n for n in range(1, 41) if r2[n]] == [1, 3, 7, 15, 31]
     with pytest.raises(ValueError):
+        rueppel("third", 8)
+
+
+def test_rueppel_supports_are_powers_of_two_and_their_predecessors():
+    for n in [*range(1, 301), 8192]:
+        powers = [1 << k for k in range(n.bit_length() + 1)]
+        first, second = rueppel("first", n), rueppel("second", n)
+        assert [m for m in range(1, n + 1) if first[m]] == [q for q in powers if q <= n], n
+        assert [m for m in range(1, n + 1) if second[m]] == [
+            q - 1 for q in powers if 1 <= q - 1 <= n
+        ], n
+
+
+def test_rueppel_checks_the_length_first():
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        rueppel("third", 0)
+    with pytest.raises(ValueError, match="which must be 'first' or 'second': 'third'"):
         rueppel("third", 8)
 
 
