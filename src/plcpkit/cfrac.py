@@ -158,7 +158,11 @@ def laurent_cf(s: CoeffSeq) -> ContinuedFraction:
         packed, bound = _euclid(
             1 << n, pack_bits(s.terms[::-1]), n, _divmod_packed, int.bit_length
         )
-        monics = tuple(DensePoly(fld, unpack_bits(q, q.bit_length())) for q in packed)
+        # one DensePoly per distinct quotient (over F2 nearly all are t or
+        # t + 1); sharing is safe because nothing assigns to .coeffs after
+        # DensePoly.__init__, so a DensePoly never changes
+        polys = {q: DensePoly(fld, unpack_bits(q, q.bit_length())) for q in set(packed)}
+        monics = tuple(map(polys.__getitem__, packed))
         units = (1,) * len(monics)
     else:
         quotients, bound = _euclid(

@@ -185,19 +185,19 @@ def _cmd_lcp(args):
         with open(args.csv, "w", newline="", encoding="ascii") as fh:
             w = csv.writer(fh)
             w.writerow(("n", "L", "ceil_half", "perfect"))
-            for r in rows:
-                w.writerow((r[0], r[1], r[2], str(r[3]).lower()))
+            w.writerows((n, l, h, str(ok).lower()) for n, l, h, ok in rows)
     else:
-        print("n\tL\tceil(n/2)\tperfect")
-        for r in rows:
-            print(f"{r[0]}\t{r[1]}\t{r[2]}\t{str(r[3]).lower()}")
-        print(f"perfect-profile: {str(is_plcp(profile)).lower()}")
+        lines = ["n\tL\tceil(n/2)\tperfect"]
+        lines += [f"{n}\t{l}\t{h}\t{str(ok).lower()}" for n, l, h, ok in rows]
+        lines.append(f"perfect-profile: {str(is_plcp(profile)).lower()}")
+        sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_cf(args):
     seq = read_sequence(args.infile).shift_index(1)
     cf = laurent_cf(seq)
+    text = {q: q.to_string() for q in set(cf.quotients)}  # each distinct quotient once
     doc = {
         "tool-version": __version__,
         "format-version": REPORT_FORMAT,
@@ -205,7 +205,7 @@ def _cmd_cf(args):
         "field": cf.field.p,
         "integer-part": cf.integer_part.to_string(),
         "degrees": list(cf.degrees()),
-        "quotients": [q.to_string() for q in cf.quotients],
+        "quotients": [text[q] for q in cf.quotients],
         "units": list(cf.units),
         "guaranteed-count": cf.guaranteed_count,
         "next-degree-bound": cf.next_degree_bound,
@@ -236,14 +236,12 @@ def _cmd_hankel(args):
         with open(args.csv, "w", newline="", encoding="ascii") as fh:
             w = csv.writer(fh)
             w.writerow(("n", "value", "odd"))
-            for n, v, odd in rows:
-                w.writerow((n, v, odd if odd == "-" else str(odd).lower()))
+            w.writerows((n, v, odd if odd == "-" else str(odd).lower()) for n, v, odd in rows)
     else:
         label = "exact" if args.exact_pm1 else f"mod {seq.field.p}"
-        print(f"hankel determinants ({label}), orders 1..{args.max_order}")
-        print("n\tvalue\todd")
-        for n, v, odd in rows:
-            print(f"{n}\t{v}\t{odd if odd == '-' else str(odd).lower()}")
+        lines = [f"hankel determinants ({label}), orders 1..{args.max_order}", "n\tvalue\todd"]
+        lines += [f"{n}\t{v}\t{odd if odd == '-' else str(odd).lower()}" for n, v, odd in rows]
+        sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

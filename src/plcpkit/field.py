@@ -64,11 +64,23 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def validate(self, values) -> tuple:
+        """The values as a tuple of plain ints in [0, p).
+
+        An int subclass is stored as its int, so True and False become 1
+        and 0 and a sequence file can be written back; anything else that
+        is not an int in range is refused.
+        """
         out = tuple(values)
+        p = self.p
         for v in out:
-            if not isinstance(v, int) or not 0 <= v < self.p:
-                raise ValueError(f"not a residue mod {self.p}: {v!r}")
-        return out
+            if type(v) is not int or not 0 <= v < p:
+                break
+        else:
+            return out
+        for v in out:
+            if not isinstance(v, int) or not 0 <= v < p:
+                raise ValueError(f"not a residue mod {p}: {v!r}")
+        return tuple(map(int, out))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -91,10 +91,9 @@ def _group_table(pivots, g):
         for t in range(j + 1, _GROUP):
             if red[j] >> (g + t) & 1:
                 red[j] ^= red[t]
-    table = [0] * (1 << _GROUP)
-    for i in range(1, 1 << _GROUP):
-        low = i & -i
-        table[i] = table[i ^ low] ^ red[low.bit_length() - 1]
+    table = [0]
+    for piv in red:  # the sums so far, then each of them plus this pivot
+        table += [t ^ piv for t in table]
     return tuple(table)
 
 
