@@ -15,7 +15,9 @@ cases `next_degree_bound` is min(d, N - 2D + 1).  One Euclid loop,
 `_euclid`, does this for every field: on packed ints over F2, and on
 `DensePoly` for odd p and for the exact expansion of `rational_cf`.
 Quotients are stored monic with the stripped leading units kept
-alongside; over F2 every unit is 1.
+alongside; over F2 every unit is 1, and `laurent_cf` builds one
+`DensePoly` per distinct packed quotient, shared by every place it
+occurs (nearly all are t or t + 1).
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ Over F2 the rows are packed ints and only the parity is kept
 stops it at the first even order.  Its pivots are grouped by the method
 of Four Russians (Arlazarov, Dinic, Kronrod and Faradzev): once the
 pivot columns cover an aligned group of six, in any order, the group's
-pivots become one table of their 64 sums, and one lookup clears all six
+pivots become one table of their 64 sums, built by doubling (each pivot
+appends the sums so far plus itself), and one lookup clears all six
 columns of a row.  A row has only one reduced form, since one sum of
 the pivots clears every pivot column, so the grouping changes no reduced
 row, pivot or parity.  It cuts the Python steps of orders 1..m from
@@ -84,7 +85,9 @@ def _group_table(pivots, g):
     """The 64 sums of the pivots with lowest bits g..g+5, indexed by those columns.
 
     The pivots are first reduced within the six columns, so pivot j has
-    bit g+j and no other bit there; bit i of an index then picks pivot i.
+    bit g+j and no other bit there.  The table is then built by doubling:
+    pivot j appends the 2^j sums so far, each plus pivot j, so bit j of an
+    index picks pivot j.
     """
     red = list(pivots)
     for j in range(_GROUP - 2, -1, -1):

@@ -5,8 +5,10 @@ from cf_oracle import series_inverse_cf
 from hypothesis import example, given, strategies as st
 
 from plcpkit.cfrac import (
+    ContinuedFraction,
     _divmod_packed,
     _euclid,
+    _monic_parts,
     _size,
     convergents,
     has_flat_expansion,
@@ -166,6 +168,14 @@ def _both_euclids(bits):
 def test_one_euclid_agrees_on_packed_and_dense_f2(bits):
     packed, dense = _both_euclids(bits)
     assert packed == dense
+    # laurent_cf's packed quotients, as DensePoly, give the DensePoly route's expansion
+    n = len(bits)
+    quotients, bound = _euclid(
+        DensePoly.monomial(GF2, n), DensePoly(GF2, bits[::-1]), n, poly_divmod, _size
+    )
+    units, monics = _monic_parts(quotients)
+    expected = ContinuedFraction(GF2, DensePoly.zero(GF2), monics, units, bound)
+    assert laurent_cf(CoeffSeq(GF2, bits, origin=1)) == expected
 
 
 def test_one_euclid_agrees_on_packed_and_dense_f2_at_word_boundaries():

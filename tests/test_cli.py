@@ -11,6 +11,7 @@ from hankel_oracle import bareiss_values, hankel_by_columns, hankel_parities
 
 import plcpkit
 from plcpkit import cli
+from plcpkit.cfrac import laurent_cf
 from plcpkit.field import (
     GF2,
     CoeffSeq,
@@ -146,6 +147,15 @@ def test_cf_json_document(capsys, tmp_path):
     assert doc["max-degree"] == 1
     assert doc["flat"] is True
     assert len(doc["quotients"]) == len(doc["degrees"])
+    # quotients of degree > 1, several of them equal, are written term by term
+    rng = random.Random(0)
+    seq = CoeffSeq(GF2, [rng.randrange(2) for _ in range(64)], origin=1)
+    write_sequence(seq, seq_path)
+    rc, out, err = run(capsys, "analyze", "cf", "--in", str(seq_path), "--json", str(json_path))
+    doc = json.loads(json_path.read_text())
+    assert rc == 0 and max(doc["degrees"]) > 1 and len(set(doc["quotients"])) < len(doc["quotients"])
+    assert doc["quotients"] == [q.to_string() for q in laurent_cf(seq).quotients]
+    assert doc["quotients"][5] == "t^4 + t^3 + t^2 + 1"
 
 
 def test_cf_report_on_stdout_equals_the_json_file(capsys, tmp_path):

@@ -148,8 +148,17 @@ class TestCoeffSeq:
         assert c[0] == s[1]
 
     def test_validates_residues(self):
-        with pytest.raises(ValueError):
-            CoeffSeq(GF2, [0, 2], origin=0)
+        for bad in (2, -1, 1.0, "1", None):
+            with pytest.raises(ValueError, match=f"not a residue mod 2: {bad!r}$"):
+                CoeffSeq(GF2, [0, True, bad, 1], origin=0)
+
+    def test_bools_are_stored_as_plain_ints(self):
+        # a bool is an int; stored as it is, it would be written as "True"
+        for field, terms in ((GF2, [True, False, True, 1]), (PrimeField(3), [True, 2, False, 1])):
+            seq = CoeffSeq(field, terms, origin=1)
+            assert [type(t) for t in seq.terms] == [int] * 4
+            assert seq == CoeffSeq(field, [int(t) for t in terms], origin=1)
+            assert loads_sequence(dumps_sequence(seq)) == seq
 
 
 def _low_terms(poly, n):
