@@ -311,10 +311,18 @@ class CoeffSeq:
         return self.terms[i]
 
     def shift_index(self, origin: int) -> "CoeffSeq":
-        """Relabel the same stored terms with a different origin."""
+        """Relabel the same stored terms with a different origin.
+
+        The terms were validated when this sequence was built, so the new
+        one shares the tuple without validating it again.
+        """
         if origin == self.origin:
             return self
-        return CoeffSeq(self.field, self.terms, origin)
+        if origin not in (0, 1):
+            raise ValueError(f"origin must be 0 or 1: {origin!r}")
+        out = object.__new__(CoeffSeq)
+        out.field, out.terms, out.origin = self.field, self.terms, origin
+        return out
 
     def __eq__(self, other):
         return (

@@ -25,8 +25,13 @@ columns of a row.  A row has only one reduced form, since one sum of
 the pivots clears every pivot column, so the grouping changes no reduced
 row, pivot or parity.  It cuts the Python steps of orders 1..m from
 about m^2/2 to about m^2/12, for m/6 tables of 64 rows.  For odd p
-(`_mod_p_values`, O(m^3) field operations) the pivot rows are scaled to
-a leading 1 and the sign is kept as a running inversion count.
+(`_mod_p_values`) the pivot rows are scaled to a leading 1 and the sign
+is kept as a running inversion count.  Each row is one int with a slot
+of w bits per column, w the bit length of (p-1) + m(p-1)^2, as in
+Kronecker substitution: a slot starts below p and grows by at most
+(p-1)^2 per pivot, one pivot per column, so no slot carries into the
+next.  Reducing a row by a pivot is one multiply-add of m*w-bit ints,
+and the pass takes O(m^2) Python steps for orders 1..m.
 
 The pass uses only the Hankel entries, so this route stays independent
 of the profile, the recurrences and the continued fraction.  It is the
@@ -34,7 +39,8 @@ one route in the package; the tests check it against the eliminations
 it replaced, kept in `tests/hankel_oracle.py`: a column-pivoted
 elimination of each order on its own, which they check against a
 Leibniz expansion, over F2 a per-order packed elimination and the
-ungrouped pass, and for +-1 entries per-order Bareiss.  The exact
+ungrouped pass, for odd p the pass on lists of residues, and for +-1
+entries per-order Bareiss.  The exact
 integers of a +-1 prefix are the odd-p pass mod one Mersenne prime P,
 each lifted to (-P/2, P/2): Hadamard's bound |H_k| <= k^(k/2) grows
 with k, so P^2 > 4 m^m makes every lift, k <= m, exact.
@@ -139,33 +145,54 @@ def _f2_parities(rows):
 def _mod_p_values(rows, p: int):
     """Yield the leading minors mod the prime p of residue rows, in order.
 
-    See the module docstring.  A pivot row is kept from its pivot column
-    on, scaled to a leading 1, so a reduction needs no inverse; its
-    original leading entry goes into the running product.  It also runs
-    mod a Mersenne prime for `hankel_integer_pm1`.
+    See the module docstring.  Each row, m residues in [0, p), is packed
+    into one int, column j in the w bits from j*w, w the bit length of
+    (p-1) + m(p-1)^2.  A pivot row is kept from its pivot column on,
+    scaled to a leading 1 and reduced to residues, so reducing a row by
+    it reads one slot, f, and adds (p - f) times the pivot row: that
+    slot then holds a multiple of p, and no slot grows by more than
+    (p-1)^2.  A row meets at most m pivots, one per column, so no slot
+    carries into the next, and slots are reduced mod p only where the
+    pass reads them: the new row's free columns, to find its pivot
+    column, and its pivot row, to scale it.  The pivot's original
+    leading entry goes into the running product.  That is O(m^2) Python
+    steps for orders 1..m, each on an m*w-bit int.  It also runs mod a
+    Mersenne prime for `hankel_integer_pm1`, where w is about twice the
+    prime's bits.
     """
     rows = iter(rows)
-    pivots = []  # (pivot column, scaled row from that column on), sorted by column
+    pivots = []  # (slot of the pivot column, scaled row from it on), sorted by slot
     det = 1  # sign of the map row -> pivot column, times the leading entries
     for k, row in enumerate(rows):
-        row = list(row)
-        for col, piv in pivots:  # increasing: a pivot row is zero left of its column
-            f = row[col]
+        if not k:
+            m = len(row)
+            w = (p - 1 + m * (p - 1) ** 2).bit_length()
+            slot = (1 << w) - 1
+            free = list(range(0, m * w, w))  # the slots of the columns with no pivot
+        x = 0
+        for a in reversed(row):
+            x = x << w | a
+        for s, piv in pivots:  # increasing: a pivot row is zero below its slot
+            f = (x >> s & slot) % p
             if f:
-                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], piv)]
-        col = next((j for j, a in enumerate(row) if a), None)
-        if col is None:  # rows 0..k are dependent: this and every later minor is 0
+                x += (p - f) * piv
+        s = next((s for s in free if (x >> s & slot) % p), None)
+        if s is None:  # rows 0..k are dependent: this and every later minor is 0
             yield 0
             yield from (0 for _ in rows)
             return
-        lead = row[col]
+        free.remove(s)
+        lead = (x >> s & slot) % p
         inv = pow(lead, -1, p)
-        at = bisect(pivots, (col,))  # the columns are distinct, so rows never compare
-        pivots.insert(at, (col, [a * inv % p for a in row[col:]]))
+        piv = 0
+        for t in range(m * w - w, s - 1, -w):
+            piv = piv << w | (x >> t & slot) * inv % p
+        at = bisect(pivots, (s,))  # the slots are distinct, so rows never compare
+        pivots.insert(at, (s, piv << s))
         if (len(pivots) - 1 - at) & 1:  # earlier rows with a later pivot column
             lead = p - lead
         det = det * lead % p
-        yield det if pivots[-1][0] == k else 0
+        yield det if pivots[-1][0] == k * w else 0
 
 
 def hankel_mod_p(c: CoeffSeq, max_order: int) -> HankelReport:
@@ -230,8 +257,9 @@ def hankel_integer_pm1(entries, max_order: int) -> HankelReport:
     """Exact integer H_1..H_max_order for a +-1 entry list.
 
     The odd-p pass mod P = `_lift_modulus(max_order)`, lifted to the
-    symmetric range (see the module docstring): O(m^3) operations on
-    integers of e bits for P = 2^e - 1, and e = 44497 covers m <= 6970.
+    symmetric range (see the module docstring): O(m^2) Python steps on
+    rows of m slots of about 2e bits for P = 2^e - 1, and e = 44497
+    covers m <= 6970.
     """
     ee = list(entries)
     for e in ee:

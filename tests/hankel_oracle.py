@@ -17,9 +17,14 @@ so no order depends on the pivots of another:
 `one_pass_parities` is the one incremental F2 elimination as it stood
 before its pivots were grouped into Four-Russians tables: it reduces a
 row by one pivot at a time, O(m^2/2) Python steps for orders 1..m.
+
+`list_mod_p_values` is the one incremental odd-p elimination as it stood
+before its rows were packed into integer slots: it keeps each row as a
+list of residues and reduces it one element at a time, O(m^3) field
+operations for orders 1..m.
 """
 
-from bisect import insort
+from bisect import bisect, insort
 
 from plcpkit.field import CoeffSeq, PrimeField, pack_bits
 
@@ -83,6 +88,38 @@ def one_pass_parities(rows):
         insort(pivots, (low, row))
         cols |= low
         yield 1 if cols == (2 << k) - 1 else 0
+
+
+def list_mod_p_values(rows, p: int):
+    """Yield the leading minors mod the prime p of residue rows, in order.
+
+    See the module docstring.  A pivot row is kept from its pivot column
+    on, scaled to a leading 1, so a reduction needs no inverse; its
+    original leading entry goes into the running product.  It also runs
+    mod a Mersenne prime for `hankel_integer_pm1`.
+    """
+    rows = iter(rows)
+    pivots = []  # (pivot column, scaled row from that column on), sorted by column
+    det = 1  # sign of the map row -> pivot column, times the leading entries
+    for k, row in enumerate(rows):
+        row = list(row)
+        for col, piv in pivots:  # increasing: a pivot row is zero left of its column
+            f = row[col]
+            if f:
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], piv)]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is None:  # rows 0..k are dependent: this and every later minor is 0
+            yield 0
+            yield from (0 for _ in rows)
+            return
+        lead = row[col]
+        inv = pow(lead, -1, p)
+        at = bisect(pivots, (col,))  # the columns are distinct, so rows never compare
+        pivots.insert(at, (col, [a * inv % p for a in row[col:]]))
+        if (len(pivots) - 1 - at) & 1:  # earlier rows with a later pivot column
+            lead = p - lead
+        det = det * lead % p
+        yield det if pivots[-1][0] == k else 0
 
 
 def det_mod_p(rows, field: PrimeField) -> int:

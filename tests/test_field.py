@@ -147,6 +147,21 @@ class TestCoeffSeq:
         assert c.terms == s.terms
         assert c[0] == s[1]
 
+    def test_shift_shares_the_validated_terms(self, monkeypatch):
+        s = CoeffSeq(PrimeField(5), [1, 4, 0, 3], origin=1)
+        expected = CoeffSeq(PrimeField(5), [1, 4, 0, 3], origin=0)
+
+        def validate(self, values):
+            raise AssertionError("validated terms that were already checked")
+
+        monkeypatch.setattr(PrimeField, "validate", validate)
+        c = s.shift_index(0)
+        assert c.terms is s.terms
+        assert c == expected and hash(c) == hash(expected)
+        assert c.shift_index(1) == s and c.shift_index(0) is c
+        with pytest.raises(ValueError, match="origin must be 0 or 1: 2"):
+            s.shift_index(2)
+
     def test_validates_residues(self):
         for bad in (2, -1, 1.0, "1", None):
             with pytest.raises(ValueError, match=f"not a residue mod 2: {bad!r}$"):

@@ -4,8 +4,10 @@
 read one incremental elimination; the per-order eliminations of
 `hankel_oracle` (column pivoting over every field, over F2
 `hankel_parities`, and for exact +-1 values `bareiss_values`) are its
-oracles here, and over F2 so is `one_pass_parities`, the pass as it was
-before its pivots were grouped into tables.
+oracles here; so are, over F2, `one_pass_parities`, the pass as it was
+before its pivots were grouped into tables, and for odd p
+`list_mod_p_values`, the pass as it was before its rows were packed
+into integer slots.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from hankel_oracle import (
     det_mod_p,
     hankel_by_columns,
     hankel_parities,
+    list_mod_p_values,
     one_pass_parities,
     order_parity,
 )
@@ -412,6 +415,57 @@ def test_odd_p_one_pass_at_order_64(p):
     values = hankel_mod_p(c, 64).values
     assert values == hankel_by_columns(c, 64)
     assert 0 < values.count(0) < 64
+
+
+def residues(p, seed, n):
+    rng = random.Random(seed)
+    return [rng.randrange(p) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "p, terms, zero_orders",
+    [
+        (3, residues(3, 1, 511), None),
+        (7, residues(7, 2, 511), None),
+        (3, [0] * 40 + residues(3, 3, 471), (1, 20)),  # H_1..H_20 see only zeros
+        (7, [0] * 9 + residues(7, 4, 502), (1, 5)),
+        (7, ([3, 0, 6, 1, 5] * 103)[:511], (6, 256)),  # rank 5: a row reduces to zero
+    ],
+    ids=["random-F3", "random-F7", "leading-zeros-F3", "leading-zeros-F7", "periodic-F7"],
+)
+def test_packed_pass_matches_the_list_pass_at_order_256(p, terms, zero_orders):
+    # the per-order oracles cost O(m^4); the list pass is the one the packed pass replaced
+    c = CoeffSeq(PrimeField(p), terms, origin=0)
+    values = hankel_mod_p(c, 256).values
+    assert list(values) == list(list_mod_p_values((terms[k : k + 256] for k in range(256)), p))
+    if zero_orders is None:
+        assert 0 < values.count(0) < 256
+    else:
+        lo, hi = zero_orders  # H_lo..H_hi are 0, and some other order is not
+        assert not any(values[lo - 1 : hi]) and any(values[: lo - 1] + values[hi:])
+
+
+def test_slots_are_wide_enough_for_the_largest_residues():
+    # the slots hold (p-1) + m(p-1)^2 at most: in this matrix pivot i is
+    # e_i - e_(m-2) - e_(m-1), and the last rows meet m-2 of them, each with
+    # f = 1, so column m-2 gains (p-1)^2 per pivot; one bit fewer carries
+    for p, m in ((65521, 128), ((1 << 521) - 1, 46)):
+        edge = [p - 1, p - 1]
+        rows = [[0] * i + [1] + [0] * (m - 3 - i) + edge for i in range(m - 2)]
+        rows += [[1] * (m - 2) + edge, [1] * (m - 2) + [p - 1, 0]]
+        values = list(_mod_p_values(rows, p))
+        assert values == list(list_mod_p_values(rows, p))
+        assert 0 not in values
+    # the largest residues as Hankel entries: 65520 over F65521, and -1 lifted from 2^521 - 1
+    for p, m in ((65521, 128), ((1 << 521) - 1, 46)):
+        oracle = list(list_mod_p_values([[p - 1] * m] * m, p))
+        assert oracle == [p - 1] + [0] * (m - 1)
+        if p == 65521:
+            c = CoeffSeq(PrimeField(p), [p - 1] * (2 * m - 1), origin=0)
+            assert list(hankel_mod_p(c, m).values) == oracle
+        else:
+            assert _lift_modulus(m) == p
+            assert hankel_integer_pm1([-1] * (2 * m - 1), m).values == (-1,) + (0,) * (m - 1)
 
 
 def test_per_order_oracle_input_validation():
