@@ -456,16 +456,15 @@ def test_slots_are_wide_enough_for_the_largest_residues():
         values = list(_mod_p_values(rows, p))
         assert values == list(list_mod_p_values(rows, p))
         assert 0 not in values
-    # the largest residues as Hankel entries: 65520 over F65521, and -1 lifted from 2^521 - 1
-    for p, m in ((65521, 128), ((1 << 521) - 1, 46)):
-        oracle = list(list_mod_p_values([[p - 1] * m] * m, p))
-        assert oracle == [p - 1] + [0] * (m - 1)
-        if p == 65521:
-            c = CoeffSeq(PrimeField(p), [p - 1] * (2 * m - 1), origin=0)
-            assert list(hankel_mod_p(c, m).values) == oracle
-        else:
-            assert _lift_modulus(m) == p
-            assert hankel_integer_pm1([-1] * (2 * m - 1), m).values == (-1,) + (0,) * (m - 1)
+    # the largest residues as Hankel entries (rank 1): 65520 over F65521,
+    # and -1 lifted from 2^521 - 1, the modulus from order 46 on
+    c = CoeffSeq(PrimeField(65521), [65520] * 255, origin=0)
+    oracle = tuple(list_mod_p_values([[65520] * 128] * 128, 65521))
+    assert hankel_mod_p(c, 128).values == oracle == (65520,) + (0,) * 127
+    p = (1 << 521) - 1
+    assert _lift_modulus(46) == p
+    assert list(list_mod_p_values([[p - 1] * 46] * 46, p)) == [p - 1] + [0] * 45
+    assert hankel_integer_pm1([-1] * 91, 46).values == (-1,) + (0,) * 45
 
 
 def test_per_order_oracle_input_validation():
