@@ -12,12 +12,21 @@ order t^{-(2D+d)}.  So a quotient is recorded as *guaranteed* only while
 cut-off the next quotient has degree d if 2D + d <= N and at least
 N - 2D + 1 otherwise, as it does when the remainder vanishes: in both
 cases `next_degree_bound` is min(d, N - 2D + 1).  One Euclid loop,
-`_euclid`, does this for every field: on packed ints over F2, and on
-`DensePoly` for odd p and for the exact expansion of `rational_cf`.
-Quotients are stored monic with the stripped leading units kept
-alongside; over F2 every unit is 1, and `laurent_cf` builds one
-`DensePoly` per distinct packed quotient, shared by every place it
-occurs (nearly all are t or t + 1).
+`_euclid`, does this for every field and for the exact expansion of
+`rational_cf`, on polynomials packed into ints: one bit per
+coefficient over F2, and for odd p one w-bit slot per coefficient, as
+in Kronecker substitution.  An odd-p division reads the top slot for
+each quotient coefficient c and adds (p - c) times the shifted divisor,
+so slots only grow, by at most (p-1)^2 a step.  A kept quotient has
+degree at most N/2, so a division takes at most S = N//2 + 1 steps
+(deg g + 1 in `rational_cf`), and w leaves room for (p-1) + S(p-1)^2
+and for the reduction after each division: no slot carries into the
+next.  That reduction is Barrett's (CRYPTO '86), applied to every slot
+at once in three big-int operations, so the remainder can be read
+again.  Quotients are stored monic with the stripped leading units kept
+alongside (over F2 every unit is 1); each distinct packed quotient
+becomes one `DensePoly`, split once and shared by every place it occurs
+(over F2 nearly all are t or t + 1).
 """
 
 from __future__ import annotations
@@ -29,9 +38,9 @@ from plcpkit.field import (
     DensePoly,
     PrimeField,
     pack_bits,
+    pack_slots,
     poly_divmod,
     poly_gcd,
-    unpack_bits,
 )
 from plcpkit.lincomplex import LCProfile
 
@@ -115,21 +124,56 @@ def _divmod_packed(a: int, b: int):
     return q, a
 
 
-def _size(a: DensePoly) -> int:
-    """Degree plus one, 0 for zero: the `DensePoly` twin of int.bit_length."""
-    return len(a.coeffs)
+def _ring(p: int, steps: int, slots: int):
+    """The slot width w, pack, divmod and size of `_euclid` over F_p.
+
+    Over F2 a slot is one bit (`pack_bits`, `_divmod_packed`,
+    int.bit_length).  For odd p, coefficient i of a polynomial is in the
+    w bits from i*w, every slot in [0, p) between divisions.  A division
+    of at most `steps` steps, on ints of at most `slots` slots, adds
+    (p - c) times the divisor per step, so a slot never passes
+    (p-1) + steps*(p-1)^2 < 2^a.  Barrett's reduction then puts every
+    slot back in [0, p): with k = a + bit_length(p) and M = ceil(2^k / p),
+    floor(x*M / 2^k) = floor(x / p) for x < 2^a, and x*M has fewer than
+    w bits, so the slot-wise floor is one multiply, one shift and the
+    mask R of each slot's low w - k bits.
+    """
+    if p == 2:
+        return 1, pack_bits, _divmod_packed, int.bit_length
+    a = (p - 1 + steps * (p - 1) ** 2).bit_length()
+    k = a + p.bit_length()
+    M = -(-(1 << k) // p)
+    w = a + M.bit_length() + 1
+    slot = (1 << w) - 1
+    ones = ((1 << slots * w) - 1) // slot  # a 1 at the bottom of every slot
+    R = ((1 << w - k) - 1) * ones
+
+    def size(x):
+        return -(-x.bit_length() // w)
+
+    def divmod_(num, den):
+        top = size(den) - 1
+        inv = pow(den >> top * w, -1, p)
+        q = 0
+        for j in range(size(num) - 1 - top, -1, -1):
+            c = (num >> (top + j) * w & slot) * inv % p
+            if c:
+                q |= c << j * w
+                num += (p - c) * den << j * w
+        return q, num - p * (num * M >> k & R)
+
+    return w, lambda values: pack_slots(values, w), divmod_, size
 
 
 def _euclid(num, den, n: int | None, divmod_, size):
     """Partial quotients of num/den, deg den < deg num, by the division
     algorithm, and the next-degree bound.
 
-    The polynomials are `DensePoly` (divmod_ = poly_divmod, size =
-    `_size`) or F2 polynomials packed as ints (`_divmod_packed`,
-    int.bit_length); size(a) is deg a + 1.  With n None the expansion
-    runs to its end and the bound is None; otherwise num/den stands for
-    a series known modulo t^{-(n+1)} and the quotients stop at the
-    cut-off in the module docstring.
+    The polynomials are ints packed by `_ring`, with its divmod_ and
+    size; size(a) is deg a + 1.  With n None the expansion runs to its
+    end and the bound is None; otherwise num/den stands for a series
+    known modulo t^{-(n+1)} and the quotients stop at the cut-off in the
+    module docstring.
     """
     quotients = []
     total = 0  # sum of the kept degrees
@@ -144,10 +188,21 @@ def _euclid(num, den, n: int | None, divmod_, size):
     return quotients, None if n is None else n - 2 * total + 1
 
 
-def _monic_parts(quotients):
-    """The leading units and the monic parts of `DensePoly` quotients."""
-    parts = [q.monic() for q in quotients]
-    return tuple(u for u, _ in parts), tuple(m for _, m in parts)
+def _monic_parts(field: PrimeField, packed, w: int):
+    """The leading units and the monic parts of packed quotients.
+
+    Each distinct quotient becomes one `DensePoly`, split once and shared
+    by every place it occurs (over F2 nearly all are t or t + 1); sharing
+    is safe because nothing assigns to .coeffs after DensePoly.__init__,
+    so a DensePoly never changes.
+    """
+    mask = (1 << w) - 1
+    units, monics = {}, {}
+    for q in set(packed):
+        units[q], monics[q] = DensePoly(
+            field, [q >> i & mask for i in range(0, q.bit_length(), w)]
+        ).monic()
+    return tuple(map(units.__getitem__, packed)), tuple(map(monics.__getitem__, packed))
 
 
 def laurent_cf(s: CoeffSeq) -> ContinuedFraction:
@@ -156,21 +211,10 @@ def laurent_cf(s: CoeffSeq) -> ContinuedFraction:
         raise ValueError("expects an origin-1 sequence; use shift_index(1)")
     fld = s.field
     n = len(s.terms)
-    if fld.p == 2:
-        packed, bound = _euclid(
-            1 << n, pack_bits(s.terms[::-1]), n, _divmod_packed, int.bit_length
-        )
-        # one DensePoly per distinct quotient (over F2 nearly all are t or
-        # t + 1); sharing is safe because nothing assigns to .coeffs after
-        # DensePoly.__init__, so a DensePoly never changes
-        polys = {q: DensePoly(fld, unpack_bits(q, q.bit_length())) for q in set(packed)}
-        monics = tuple(map(polys.__getitem__, packed))
-        units = (1,) * len(monics)
-    else:
-        quotients, bound = _euclid(
-            DensePoly.monomial(fld, n), DensePoly(fld, s.terms[::-1]), n, poly_divmod, _size
-        )
-        units, monics = _monic_parts(quotients)
+    # a kept quotient has degree at most n/2: at most n//2 + 1 division steps
+    w, pack, divmod_, size = _ring(fld.p, n // 2 + 1, n + 1)
+    packed, bound = _euclid(1 << n * w, pack(s.terms[::-1]), n, divmod_, size)
+    units, monics = _monic_parts(fld, packed, w)
     return ContinuedFraction(
         field=fld,
         integer_part=DensePoly.zero(fld),
@@ -187,8 +231,11 @@ def rational_cf(f: DensePoly, g: DensePoly) -> ContinuedFraction:
     if g.is_zero:
         raise ZeroDivisionError("zero denominator")
     a0, rem = poly_divmod(f, g)
-    quotients, _ = _euclid(g, rem, None, poly_divmod, _size)
-    units, monics = _monic_parts(quotients)
+    # the first division of g by rem is the longest: deg g + 1 steps at most
+    size_g = len(g.coeffs)
+    w, pack, divmod_, size = _ring(f.field.p, size_g, size_g)
+    packed, _ = _euclid(pack(g.coeffs), pack(rem.coeffs), None, divmod_, size)
+    units, monics = _monic_parts(f.field, packed, w)
     return ContinuedFraction(
         field=f.field,
         integer_part=a0,

@@ -5,7 +5,8 @@ construction, so a value never leaves the range.  `DensePoly` stores
 coefficients ascending by degree with no trailing zeros, and `CoeffSeq`
 is a finite sequence prefix with an explicit index origin (0 or 1).
 The F2 fast paths use ints as bit vectors; `pack_bits` and
-`unpack_bits` convert between those and 0/1 lists.
+`unpack_bits` convert between those and 0/1 lists.  The odd-p fast
+paths put one residue in each w-bit slot of an int (`pack_slots`).
 """
 
 from __future__ import annotations
@@ -272,6 +273,22 @@ def pack_bits(bits) -> int:
     if not bits:
         return 0
     return int("".join("1" if b else "0" for b in reversed(bits)), 2)
+
+
+def pack_slots(values, w: int) -> int:
+    """Values in [0, 2^w) as one int, values[i] in the w bits from i*w.
+
+    This is Kronecker substitution at t = 2^w.  Neighbours are joined in
+    pairs, then pairs of pairs, so about 2n Python steps build the int
+    and no step shifts more than half of it.
+    """
+    vals = list(values)
+    while len(vals) > 1:
+        if len(vals) & 1:
+            vals.append(0)
+        vals = [a | b << w for a, b in zip(vals[::2], vals[1::2])]
+        w *= 2
+    return vals[0] if vals else 0
 
 
 def unpack_bits(x: int, n: int) -> list:

@@ -51,7 +51,7 @@ from __future__ import annotations
 from bisect import bisect, insort
 from dataclasses import dataclass
 
-from plcpkit.field import CoeffSeq, pack_bits
+from plcpkit.field import CoeffSeq, pack_bits, pack_slots
 
 __all__ = [
     "HankelReport",
@@ -76,11 +76,15 @@ class HankelReport:
         return len(self.values)
 
 
+def _hankel_rows(full, m, w):
+    """The rows of the order-m Hankel matrix of a prefix packed with w bits a term."""
+    mask = (1 << m * w) - 1
+    return ((full >> k * w) & mask for k in range(m))
+
+
 def _f2_rows(terms, m):
     """The rows of the order-m Hankel matrix of a 0/1 prefix, packed as ints."""
-    full = pack_bits(terms[: 2 * m - 1])
-    mask = (1 << m) - 1
-    return ((full >> k) & mask for k in range(m))
+    return _hankel_rows(pack_bits(terms[: 2 * m - 1]), m, 1)
 
 
 _GROUP = 6  # pivot columns per table, so a table has 64 rows
@@ -142,16 +146,27 @@ def _f2_parities(rows):
         yield 1 if cols == (2 << k) - 1 else 0
 
 
-def _mod_p_values(rows, p: int):
-    """Yield the leading minors mod the prime p of residue rows, in order.
+def _slot_width(m: int, p: int) -> int:
+    """The slot width of `_mod_p_values`: the bit length of (p-1) + m(p-1)^2."""
+    return (p - 1 + m * (p - 1) ** 2).bit_length()
 
-    See the module docstring.  Each row, m residues in [0, p), is packed
-    into one int, column j in the w bits from j*w, w the bit length of
-    (p-1) + m(p-1)^2.  A pivot row is kept from its pivot column on,
-    scaled to a leading 1 and reduced to residues, so reducing a row by
-    it reads one slot, f, and adds (p - f) times the pivot row: that
-    slot then holds a multiple of p, and no slot grows by more than
-    (p-1)^2.  A row meets at most m pivots, one per column, so no slot
+
+def _mod_p_rows(terms, m: int, p: int):
+    """The rows of the order-m Hankel matrix of residues mod p, packed for
+    `_mod_p_values`: one prefix packed once, row k cut from slot k on."""
+    w = _slot_width(m, p)
+    return _hankel_rows(pack_slots(terms[: 2 * m - 1], w), m, w)
+
+
+def _mod_p_values(rows, p: int, m: int):
+    """Yield the leading minors mod the prime p of m x m packed rows, in order.
+
+    See the module docstring.  Each row holds m residues in [0, p),
+    column j in the w bits from j*w, w = `_slot_width(m, p)`.  A pivot
+    row is kept from its pivot column on, scaled to a leading 1 and
+    reduced to residues, so reducing a row by it reads one slot, f, and
+    adds (p - f) times the pivot row: that slot then holds a multiple of
+    p, and no slot grows by more than (p-1)^2.  A row meets at most m pivots, one per column, so no slot
     carries into the next, and slots are reduced mod p only where the
     pass reads them: the new row's free columns, to find its pivot
     column, and its pivot row, to scale it.  The pivot's original
@@ -163,15 +178,10 @@ def _mod_p_values(rows, p: int):
     rows = iter(rows)
     pivots = []  # (slot of the pivot column, scaled row from it on), sorted by slot
     det = 1  # sign of the map row -> pivot column, times the leading entries
-    for k, row in enumerate(rows):
-        if not k:
-            m = len(row)
-            w = (p - 1 + m * (p - 1) ** 2).bit_length()
-            slot = (1 << w) - 1
-            free = list(range(0, m * w, w))  # the slots of the columns with no pivot
-        x = 0
-        for a in reversed(row):
-            x = x << w | a
+    w = _slot_width(m, p)
+    slot = (1 << w) - 1
+    free = list(range(0, m * w, w))  # the slots of the columns with no pivot
+    for k, x in enumerate(rows):
         for s, piv in pivots:  # increasing: a pivot row is zero below its slot
             f = (x >> s & slot) % p
             if f:
@@ -214,7 +224,7 @@ def hankel_mod_p(c: CoeffSeq, max_order: int) -> HankelReport:
     if c.field.p == 2:
         values = tuple(_f2_parities(_f2_rows(t, m)))
     else:
-        values = tuple(_mod_p_values((t[k : k + m] for k in range(m)), c.field.p))
+        values = tuple(_mod_p_values(_mod_p_rows(t, m, c.field.p), c.field.p, m))
     return HankelReport(modulus=c.field.p, values=values)
 
 
@@ -274,8 +284,8 @@ def hankel_integer_pm1(entries, max_order: int) -> HankelReport:
     p = _lift_modulus(max_order)
     if p is None:
         raise ValueError(f"max_order must be <= 6970 for exact values, got {max_order}")
-    rows = ([int(x) % p for x in ee[k : k + max_order]] for k in range(max_order))
-    values = tuple(v - p if 2 * v > p else v for v in _mod_p_values(rows, p))
+    rows = _mod_p_rows([int(x) % p for x in ee[: 2 * max_order - 1]], max_order, p)
+    values = tuple(v - p if 2 * v > p else v for v in _mod_p_values(rows, p, max_order))
     return HankelReport(modulus=None, values=values)
 
 

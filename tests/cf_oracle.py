@@ -1,5 +1,6 @@
-"""Series-inverse continued-fraction extraction, the oracle for `laurent_cf`,
-with the truncated power-series inverse the oracles use.
+"""Series-inverse continued-fraction extraction and the `DensePoly` Euclid,
+the oracles for `laurent_cf` and `rational_cf`, with the truncated
+power-series inverse the oracles use.
 
 This is the extraction `laurent_cf` used before it became Euclid's
 algorithm on (t^N, P): strip the polynomial part of the remainder
@@ -10,10 +11,17 @@ extraction that preceded the packed Euclid.  Over F2 the series
 inverse runs on packed ints, which keeps the extraction at N = 4096 to
 about 1.6 s.  The series inverse is also what `phi1_oracle.py` expands
 the `DensePoly` Jacobi tower with.
+
+`_euclid` on `poly_divmod` and `_size` is the Euclid loop as it ran on
+`DensePoly` for odd p and for `rational_cf`, before every field's
+continued fraction ran on packed ints: it updates the remainder one
+coefficient at a time, O(N^2) field operations for a prefix of length
+N.  `dense_laurent_cf` and `dense_rational_cf` build the
+`ContinuedFraction` from it as those routes did.
 """
 
 from plcpkit.cfrac import ContinuedFraction
-from plcpkit.field import CoeffSeq, DensePoly, pack_bits, unpack_bits
+from plcpkit.field import CoeffSeq, DensePoly, pack_bits, poly_divmod, unpack_bits
 
 
 def _inv_packed(u, prec):
@@ -75,3 +83,57 @@ def series_inverse_cf(s: CoeffSeq) -> ContinuedFraction:
         units.append(unit)
         k -= 2 * v
         r = [0] + [iu[v + m] for m in range(1, k + 1)]
+
+
+def _size(a: DensePoly) -> int:
+    """Degree plus one, 0 for zero: the `DensePoly` twin of int.bit_length."""
+    return len(a.coeffs)
+
+
+def _euclid(num, den, n: int | None, divmod_, size):
+    """Partial quotients of num/den, deg den < deg num, by the division
+    algorithm, and the next-degree bound.
+
+    The polynomials are `DensePoly` (divmod_ = poly_divmod, size =
+    `_size`) or F2 polynomials packed as ints (`_divmod_packed`,
+    int.bit_length); size(a) is deg a + 1.  With n None the expansion
+    runs to its end and the bound is None; otherwise num/den stands for
+    a series known modulo t^{-(n+1)} and the quotients stop at the
+    cut-off in the `cfrac` module docstring.
+    """
+    quotients = []
+    total = 0  # sum of the kept degrees
+    while den:
+        d = size(num) - size(den)
+        if n is not None and 2 * (total + d) > n:
+            return quotients, min(d, n - 2 * total + 1)
+        q, rem = divmod_(num, den)
+        quotients.append(q)
+        total += d
+        num, den = den, rem
+    return quotients, None if n is None else n - 2 * total + 1
+
+
+def _monic_parts(quotients):
+    """The leading units and the monic parts of `DensePoly` quotients."""
+    parts = [q.monic() for q in quotients]
+    return tuple(u for u, _ in parts), tuple(m for _, m in parts)
+
+
+def dense_laurent_cf(s: CoeffSeq) -> ContinuedFraction:
+    """`laurent_cf` by the `DensePoly` Euclid, over every prime field."""
+    fld = s.field
+    n = len(s.terms)
+    quotients, bound = _euclid(
+        DensePoly.monomial(fld, n), DensePoly(fld, s.terms[::-1]), n, poly_divmod, _size
+    )
+    units, monics = _monic_parts(quotients)
+    return ContinuedFraction(fld, DensePoly.zero(fld), monics, units, bound)
+
+
+def dense_rational_cf(f: DensePoly, g: DensePoly) -> ContinuedFraction:
+    """`rational_cf` by the `DensePoly` Euclid."""
+    a0, rem = poly_divmod(f, g)
+    quotients, _ = _euclid(g, rem, None, poly_divmod, _size)
+    units, monics = _monic_parts(quotients)
+    return ContinuedFraction(f.field, a0, monics, units, None)

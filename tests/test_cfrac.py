@@ -1,15 +1,15 @@
+import itertools
 import random
 
 import pytest
-from cf_oracle import series_inverse_cf
+from cf_oracle import _euclid as dense_euclid
+from cf_oracle import _size, dense_laurent_cf, dense_rational_cf, series_inverse_cf
 from hypothesis import example, given, strategies as st
 
 from plcpkit.cfrac import (
     ContinuedFraction,
     _divmod_packed,
     _euclid,
-    _monic_parts,
-    _size,
     convergents,
     has_flat_expansion,
     laurent_cf,
@@ -157,10 +157,12 @@ def test_euclid_matches_series_inverse_oracle_on_long_inputs():
 
 
 def _both_euclids(bits):
-    # the one Euclid loop on packed ints and on DensePoly over F2
+    # the Euclid loop on packed ints, and the oracle's on DensePoly, over F2
     n = len(bits)
     packed = _euclid(1 << n, pack_bits(bits[::-1]), n, _divmod_packed, int.bit_length)
-    dense = _euclid(DensePoly.monomial(GF2, n), DensePoly(GF2, bits[::-1]), n, poly_divmod, _size)
+    dense = dense_euclid(
+        DensePoly.monomial(GF2, n), DensePoly(GF2, bits[::-1]), n, poly_divmod, _size
+    )
     return packed, ([pack_bits(q.coeffs) for q in dense[0]], dense[1])
 
 
@@ -169,13 +171,72 @@ def test_one_euclid_agrees_on_packed_and_dense_f2(bits):
     packed, dense = _both_euclids(bits)
     assert packed == dense
     # laurent_cf's packed quotients, as DensePoly, give the DensePoly route's expansion
-    n = len(bits)
-    quotients, bound = _euclid(
-        DensePoly.monomial(GF2, n), DensePoly(GF2, bits[::-1]), n, poly_divmod, _size
-    )
-    units, monics = _monic_parts(quotients)
-    expected = ContinuedFraction(GF2, DensePoly.zero(GF2), monics, units, bound)
-    assert laurent_cf(CoeffSeq(GF2, bits, origin=1)) == expected
+    s = CoeffSeq(GF2, bits, origin=1)
+    assert laurent_cf(s) == dense_laurent_cf(s)
+
+
+@given(prefixes_with_zero_runs(primes=(3, 5, 7, 11, 13, 65521)))
+@example(CoeffSeq(PrimeField(3), [2] + [0] * 9, origin=1))  # remainder 0 after a_1
+def test_slot_euclid_matches_the_dense_euclid(s):
+    assert laurent_cf(s) == dense_laurent_cf(s)  # quotients, units and bound
+
+
+@pytest.mark.parametrize("p", [3, 7, 65521])
+def test_slot_euclid_matches_the_dense_euclid_at_1024(p):
+    rng = random.Random(p)
+    for zeros in (0, 300):
+        terms = [0] * zeros + [rng.randrange(p) for _ in range(1024 - zeros)]
+        s = CoeffSeq(PrimeField(p), terms, origin=1)
+        assert laurent_cf(s) == dense_laurent_cf(s), zeros
+
+
+def test_rational_cf_matches_the_dense_euclid():
+    rng = random.Random(16)
+    for _ in range(400):
+        fld = PrimeField(rng.choice([2, 3, 5, 7, 13, 65521]))
+        f = DensePoly(fld, [rng.randrange(fld.p) for _ in range(rng.randrange(12))])
+        g = DensePoly(fld, [rng.randrange(fld.p) for _ in range(rng.randrange(9))] + [rng.randrange(1, fld.p)])
+        h = DensePoly(fld, [rng.randrange(fld.p) for _ in range(rng.randrange(5))])
+        # a constant denominator, a zero remainder (f = g*h) and a general pair
+        for num, den in ((f, DensePoly(fld, [g.lc])), (g * h, g), (f, g)):
+            assert rational_cf(num, den) == dense_rational_cf(num, den), (num, den)
+
+
+def _widest_slot_prefix(p, n):
+    # s = 0^(n/2-1) u, u_0..u_(n/2) the coefficients of P from the top, so the
+    # first quotient q has degree n/2 and its reverse is v = 1/u mod t^(n/2+1).
+    # u_j = p - x_j with x_j and v_j small positive ints whose convolution is
+    # p - 1 at 0 (x_0 v_0 = 240 * 273 for p = 65521) and a multiple of p after,
+    # so every step of the first division adds nearly (p-1)^2 to the slot of t^(n/2)
+    x, v = [240], [273]
+    for k in range(1, n // 2 + 1):
+        mid = sum(x[i] * v[k - i] for i in range(1, k))
+        # 240 v_k + 273 x_k = r fills mid up to a multiple of p
+        v_k, x_k = next(
+            (a, (r - 240 * a) // 273)
+            for r in itertools.count(p - mid % p, p)
+            for a in range(1, 274)
+            if (r - 240 * a) % 273 == 0 < r - 240 * a
+        )
+        v.append(v_k)
+        x.append(x_k)
+    return [0] * (n // 2 - 1) + [p - xj for xj in x]
+
+
+def test_slot_width_holds_the_widest_division():
+    # the first quotient has the largest degree the cut-off allows, n/2, so
+    # its division takes n//2 + 1 steps, the S of the slot width, and the
+    # slot of t^(n/2) reaches over 99% of (p-1) + S(p-1)^2
+    p, n = 65521, 256
+    terms = _widest_slot_prefix(p, n)
+    s = CoeffSeq(PrimeField(p), terms, origin=1)
+    cf = laurent_cf(s)
+    assert cf == dense_laurent_cf(s)
+    q = cf.partial_quotient(1)
+    assert q.degree == n // 2
+    u = terms[n // 2 - 1 :]
+    slot = sum((p - c) * u[j] for j, c in enumerate(q.coeffs) if c)
+    assert slot > 0.99 * (p - 1 + (n // 2 + 1) * (p - 1) ** 2)
 
 
 def test_one_euclid_agrees_on_packed_and_dense_f2_at_word_boundaries():

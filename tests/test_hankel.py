@@ -27,7 +27,7 @@ from hankel_oracle import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plcpkit.field import CoeffSeq, PrimeField, unpack_bits
+from plcpkit.field import CoeffSeq, PrimeField, pack_slots, unpack_bits
 from plcpkit import hankel
 from plcpkit.hankel import (
     _MERSENNE_EXPONENTS,
@@ -37,6 +37,7 @@ from plcpkit.hankel import (
     _group_table,
     _lift_modulus,
     _mod_p_values,
+    _slot_width,
     apww_check,
     first_even_hankel_order,
     hankel_integer_pm1,
@@ -68,6 +69,13 @@ def perm_det(rows):
 
 def hankel_rows(entries, n):
     return [list(entries[i : i + n]) for i in range(n)]
+
+
+def packed_mod_p_values(rows, p):
+    # the odd-p pass on residue rows, each packed as the pass packs Hankel rows
+    m = len(rows)
+    w = _slot_width(m, p)
+    return list(_mod_p_values([pack_slots(r, w) for r in rows], p, m))
 
 
 mod_p_inputs = st.sampled_from([2, 3, 5, 7]).flatmap(
@@ -108,7 +116,7 @@ def test_row_passes_read_the_leading_minors_of_any_matrix(p, n, data):
     if p == 2:
         packed = [sum(b << j for j, b in enumerate(r)) for r in rows]
         assert list(_f2_parities(packed)) == minors
-    assert list(_mod_p_values(rows, p)) == minors
+    assert packed_mod_p_values(rows, p) == minors
 
 
 @st.composite
@@ -242,7 +250,7 @@ def test_lift_modulus_is_the_least_mersenne_prime_above_twice_hadamard():
 
 
 def test_pm1_past_the_table_raises_before_eliminating(monkeypatch):
-    def eliminate(rows, p):
+    def eliminate(rows, p, m):
         raise AssertionError("eliminated past the table")
 
     monkeypatch.setattr(hankel, "_mod_p_values", eliminate)
@@ -453,7 +461,7 @@ def test_slots_are_wide_enough_for_the_largest_residues():
         edge = [p - 1, p - 1]
         rows = [[0] * i + [1] + [0] * (m - 3 - i) + edge for i in range(m - 2)]
         rows += [[1] * (m - 2) + edge, [1] * (m - 2) + [p - 1, 0]]
-        values = list(_mod_p_values(rows, p))
+        values = packed_mod_p_values(rows, p)
         assert values == list(list_mod_p_values(rows, p))
         assert 0 not in values
     # the largest residues as Hankel entries (rank 1): 65520 over F65521,
