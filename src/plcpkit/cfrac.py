@@ -15,18 +15,17 @@ cases `next_degree_bound` is min(d, N - 2D + 1).  One Euclid loop,
 `_euclid`, does this for every field and for the exact expansion of
 `rational_cf`, on polynomials packed into ints: one bit per
 coefficient over F2, and for odd p one w-bit slot per coefficient, as
-in Kronecker substitution.  An odd-p division reads the top slot for
-each quotient coefficient c and adds (p - c) times the shifted divisor,
-so slots only grow, by at most (p-1)^2 a step.  A kept quotient has
-degree at most N/2, so a division takes at most S = N//2 + 1 steps
-(deg g + 1 in `rational_cf`), and w leaves room for (p-1) + S(p-1)^2
-and for the reduction after each division: no slot carries into the
-next.  That reduction is Barrett's (CRYPTO '86), applied to every slot
-at once in three big-int operations, so the remainder can be read
-again.  Quotients are stored monic with the stripped leading units kept
-alongside (over F2 every unit is 1); each distinct packed quotient
-becomes one `DensePoly`, split once and shared by every place it occurs
-(over F2 nearly all are t or t + 1).
+in Kronecker substitution.  An odd-p division adds (p - c) times the
+shifted divisor for each quotient coefficient c, so a slot grows by at
+most (p-1)^2 a step.  A kept quotient has degree at most N/2, so a
+division takes at most S = N//2 + 1 steps (deg g + 1 in `rational_cf`);
+w holds (p-1) + S(p-1)^2 times Barrett's constant, so no slot carries
+into the next.  After each division Barrett's reduction (CRYPTO '86)
+puts every slot back in [0, p) at once, in three big-int operations,
+so the remainder can be read again.  Quotients are stored monic with
+the stripped leading units kept alongside (over F2 every unit is 1);
+each distinct packed quotient becomes one `DensePoly`, split once and
+shared by every place it occurs (over F2 nearly all are t or t + 1).
 """
 
 from __future__ import annotations
@@ -170,10 +169,12 @@ def _euclid(num, den, n: int | None, divmod_, size):
     algorithm, and the next-degree bound.
 
     The polynomials are ints packed by `_ring`, with its divmod_ and
-    size; size(a) is deg a + 1.  With n None the expansion runs to its
-    end and the bound is None; otherwise num/den stands for a series
-    known modulo t^{-(n+1)} and the quotients stop at the cut-off in the
-    module docstring.
+    size; size(a) is deg a + 1.  For odd p a division of d + 1 steps
+    grows a slot by at most (d+1)(p-1)^2, and `_ring` sizes the slots for
+    the longest division the caller allows, so no slot carries into the
+    next.  With n None the expansion runs to its end and the bound is
+    None; otherwise num/den stands for a series known modulo t^{-(n+1)}
+    and the quotients stop at the cut-off in the module docstring.
     """
     quotients = []
     total = 0  # sum of the kept degrees
@@ -341,6 +342,10 @@ def orthogonal_multiplicity(g: DensePoly) -> int:
         raise ValueError("g must be monic")
     if fld.p ** d > 1 << 14:
         raise ValueError("exhaustive bound exceeded (p^deg g <= 2^14)")
+    # f/g is proper, so its quotients are Euclid's on (g, f), as in
+    # `rational_cf`: one ring and one packed g serve every f
+    _, pack, divmod_, size = _ring(fld.p, d + 1, d + 1)
+    packed_g = pack(g.coeffs)
     count = 0
     coeffs = [0] * d
     total = fld.p ** d
@@ -352,7 +357,7 @@ def orthogonal_multiplicity(g: DensePoly) -> int:
         f = DensePoly(fld, coeffs)
         if poly_gcd(f, g).degree != 0:
             continue
-        cf = rational_cf(f, g)
-        if cf.quotients and all(d == 1 for d in cf.degrees()):
+        quotients, _ = _euclid(packed_g, pack(f.coeffs), None, divmod_, size)
+        if quotients and all(size(q) == 2 for q in quotients):
             count += 1
     return count

@@ -31,7 +31,9 @@ of w bits per column, w the bit length of (p-1) + m(p-1)^2, as in
 Kronecker substitution: a slot starts below p and grows by at most
 (p-1)^2 per pivot, one pivot per column, so no slot carries into the
 next.  Reducing a row by a pivot is one multiply-add of m*w-bit ints,
-and the pass takes O(m^2) Python steps for orders 1..m.
+and the pass takes O(m^2) Python steps for orders 1..m.  As over F2,
+the prefix is packed once (`pack_slots`) and row k is cut from it at
+slot k.
 
 The pass uses only the Hankel entries, so this route stays independent
 of the profile, the recurrences and the continued fraction.  It is the

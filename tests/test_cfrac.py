@@ -7,7 +7,6 @@ from cf_oracle import _size, dense_laurent_cf, dense_rational_cf, series_inverse
 from hypothesis import example, given, strategies as st
 
 from plcpkit.cfrac import (
-    ContinuedFraction,
     _divmod_packed,
     _euclid,
     convergents,
@@ -194,9 +193,10 @@ def test_rational_cf_matches_the_dense_euclid():
     rng = random.Random(16)
     for _ in range(400):
         fld = PrimeField(rng.choice([2, 3, 5, 7, 13, 65521]))
-        f = DensePoly(fld, [rng.randrange(fld.p) for _ in range(rng.randrange(12))])
-        g = DensePoly(fld, [rng.randrange(fld.p) for _ in range(rng.randrange(9))] + [rng.randrange(1, fld.p)])
-        h = DensePoly(fld, [rng.randrange(fld.p) for _ in range(rng.randrange(5))])
+        f, g, h = (
+            DensePoly(fld, [rng.randrange(fld.p) for _ in range(rng.randrange(n))] + [lead])
+            for n, lead in ((12, 0), (9, rng.randrange(1, fld.p)), (5, 0))
+        )
         # a constant denominator, a zero remainder (f = g*h) and a general pair
         for num, den in ((f, DensePoly(fld, [g.lc])), (g * h, g), (f, g)):
             assert rational_cf(num, den) == dense_rational_cf(num, den), (num, den)
@@ -207,7 +207,8 @@ def _widest_slot_prefix(p, n):
     # first quotient q has degree n/2 and its reverse is v = 1/u mod t^(n/2+1).
     # u_j = p - x_j with x_j and v_j small positive ints whose convolution is
     # p - 1 at 0 (x_0 v_0 = 240 * 273 for p = 65521) and a multiple of p after,
-    # so every step of the first division adds nearly (p-1)^2 to the slot of t^(n/2)
+    # so every step of the first division adds nearly (p-1)^2 to the slot of t^(n/2).
+    # With every u_j = p - 1 instead, v is t - 1 and the slots reach 2(p-1)^2.
     x, v = [240], [273]
     for k in range(1, n // 2 + 1):
         mid = sum(x[i] * v[k - i] for i in range(1, k))
