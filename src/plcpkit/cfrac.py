@@ -19,13 +19,14 @@ in Kronecker substitution.  An odd-p division adds (p - c) times the
 shifted divisor for each quotient coefficient c, so a slot grows by at
 most (p-1)^2 a step.  A kept quotient has degree at most N/2, so a
 division takes at most S = N//2 + 1 steps (deg g + 1 in `rational_cf`);
-w holds (p-1) + S(p-1)^2 times Barrett's constant, so no slot carries
-into the next.  After each division Barrett's reduction (CRYPTO '86)
-puts every slot back in [0, p) at once, in three big-int operations,
-so the remainder can be read again.  Quotients are stored monic with
-the stripped leading units kept alongside (over F2 every unit is 1);
-each distinct packed quotient becomes one `DensePoly`, split once and
-shared by every place it occurs (over F2 nearly all are t or t + 1).
+w is the bit length of (p-1) + S(p-1)^2 times Barrett's constant, the
+least width at which no slot carries into the next.  After each
+division Barrett's reduction (CRYPTO '86) puts every slot back in
+[0, p) at once, in three big-int operations, so the remainder can be
+read again.  Quotients are stored monic with the stripped leading units
+kept alongside (over F2 every unit is 1); each distinct packed quotient
+becomes one `DensePoly`, split once and shared by every place it occurs
+(over F2 nearly all are t or t + 1).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from plcpkit.field import (
     pack_bits,
     pack_slots,
     poly_divmod,
-    poly_gcd,
 )
 from plcpkit.lincomplex import LCProfile
 
@@ -131,18 +131,19 @@ def _ring(p: int, steps: int, slots: int):
     w bits from i*w, every slot in [0, p) between divisions.  A division
     of at most `steps` steps, on ints of at most `slots` slots, adds
     (p - c) times the divisor per step, so a slot never passes
-    (p-1) + steps*(p-1)^2 < 2^a.  Barrett's reduction then puts every
-    slot back in [0, p): with k = a + bit_length(p) and M = ceil(2^k / p),
-    floor(x*M / 2^k) = floor(x / p) for x < 2^a, and x*M has fewer than
-    w bits, so the slot-wise floor is one multiply, one shift and the
-    mask R of each slot's low w - k bits.
+    B = (p-1) + steps*(p-1)^2.  Barrett's reduction then puts every slot
+    back in [0, p): with k = bit_length(B) + bit_length(p) and
+    M = ceil(2^k / p), floor(x*M / 2^k) = floor(x / p) for x <= B, and
+    w = bit_length(B*M) is the least width with x*M < 2^w for every such
+    x, so the slot-wise floor is one multiply, one shift and the mask R
+    of each slot's low w - k bits.
     """
     if p == 2:
         return 1, pack_bits, _divmod_packed, int.bit_length
-    a = (p - 1 + steps * (p - 1) ** 2).bit_length()
-    k = a + p.bit_length()
+    B = p - 1 + steps * (p - 1) ** 2
+    k = B.bit_length() + p.bit_length()
     M = -(-(1 << k) // p)
-    w = a + M.bit_length() + 1
+    w = (B * M).bit_length()
     slot = (1 << w) - 1
     ones = ((1 << slots * w) - 1) // slot  # a 1 at the bottom of every slot
     R = ((1 << w - k) - 1) * ones
@@ -343,21 +344,19 @@ def orthogonal_multiplicity(g: DensePoly) -> int:
     if fld.p ** d > 1 << 14:
         raise ValueError("exhaustive bound exceeded (p^deg g <= 2^14)")
     # f/g is proper, so its quotients are Euclid's on (g, f), as in
-    # `rational_cf`: one ring and one packed g serve every f
+    # `rational_cf`: one ring and one packed g serve every f.  The quotient
+    # degrees add up to deg g - deg gcd(f, g), so f is coprime to g with
+    # every quotient linear exactly when there are d quotients of size 2
     _, pack, divmod_, size = _ring(fld.p, d + 1, d + 1)
     packed_g = pack(g.coeffs)
     count = 0
     coeffs = [0] * d
-    total = fld.p ** d
-    for idx in range(1, total):
+    for idx in range(1, fld.p ** d):
         x = idx
         for i in range(d):
             coeffs[i] = x % fld.p
             x //= fld.p
-        f = DensePoly(fld, coeffs)
-        if poly_gcd(f, g).degree != 0:
-            continue
-        quotients, _ = _euclid(packed_g, pack(f.coeffs), None, divmod_, size)
-        if quotients and all(size(q) == 2 for q in quotients):
+        quotients, _ = _euclid(packed_g, pack(coeffs), None, divmod_, size)
+        if len(quotients) == d and all(size(q) == 2 for q in quotients):
             count += 1
     return count

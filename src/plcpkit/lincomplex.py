@@ -3,10 +3,11 @@
 L(n) is the length of the shortest linear recurrence generating the
 first n terms; the zero prefix has L = 0 and a sequence with no shorter
 relation has L = n.  Profiles are produced incrementally by one
-algorithm, Berlekamp-Massey: `BerlekampMassey` over any F_p, and over
-F2 the same synthesis on packed ints (`_f2_profile`).  A direct search
-(`lc_bruteforce`) over the definition serves as the independent oracle
-and never sees the incremental algorithm's state.
+algorithm, Berlekamp-Massey: `BerlekampMassey` over any F_p, updating
+its connection polynomial in place (one copy per length change, none
+per discrepancy), and over F2 the same synthesis on packed ints
+(`_f2_profile`).  A direct search over the definition (`lc_bruteforce`)
+is the independent oracle and never sees the incremental state.
 """
 
 from __future__ import annotations
@@ -63,7 +64,15 @@ class LCProfile:
 
 
 class BerlekampMassey:
-    """Incremental shortest-LFSR synthesis over F_p."""
+    """Incremental shortest-LFSR synthesis over F_p.
+
+    A nonzero discrepancy d subtracts d/bd * t^m * b from c in place (b
+    the polynomial before the last length change, bd its discrepancy, m
+    the steps since).  A length change keeps the old c as b and extends a
+    copy of it to m + len(b) terms.  len(c) == L + 1 always: at a change
+    m + len(b) = n + 2 - L, the new L + 1; otherwise 2L > n gives
+    m + len(b) <= L + 1, so the update stays inside c.
+    """
 
     def __init__(self, field: PrimeField):
         self.field = field
@@ -80,41 +89,31 @@ class BerlekampMassey:
 
     def push(self, s: int) -> int:
         """Feed one term, return the updated complexity."""
-        field = self.field
-        p = field.p
+        p = self.field.p
         a = self._terms
         n = len(a)
         a.append(s % p)
+        c, l = self._c, self._l
         d = a[n]
-        for i in range(1, min(self._l, len(self._c) - 1) + 1):
-            ci = self._c[i]
+        for i in range(1, l + 1):
+            ci = c[i]
             if ci:
                 d += ci * a[n - i]
         d %= p
         if d == 0:
             self._m += 1
-            return self._l
-        coef = (d * field.inv(self._bd)) % p
-        shifted = [0] * self._m + [(coef * x) % p for x in self._b]
-        if 2 * self._l <= n:
-            old = self._c[:]
-            self._sub_inplace(shifted)
-            self._b = old
-            self._bd = d
-            self._l = n + 1 - self._l
-            self._m = 1
+            return l
+        coef = d * pow(self._bd, -1, p) % p
+        b, m = self._b, self._m
+        if 2 * l <= n:
+            self._b, self._bd, self._l, self._m = c, d, n + 1 - l, 1
+            c = self._c = c + [0] * (m + len(b) - len(c))
         else:
-            self._sub_inplace(shifted)
-            self._m += 1
-        return self._l
-
-    def _sub_inplace(self, other):
-        p = self.field.p
-        if len(other) > len(self._c):
-            self._c.extend([0] * (len(other) - len(self._c)))
-        for i, x in enumerate(other):
+            self._m = m + 1
+        for i, x in enumerate(b, m):
             if x:
-                self._c[i] = (self._c[i] - x) % p
+                c[i] = (c[i] - coef * x) % p
+        return self._l
 
     def connection_polynomial(self) -> DensePoly:
         return DensePoly(self.field, self._c)

@@ -354,6 +354,11 @@ def brute_om(g):
         (3, (1, 2, 1)),
         (3, (0, 1, 1)),
         (5, (2, 3, 1)),
+        # repeated and shared factors: (t^2+t+1)^2 and t^3(t+1) over F2,
+        # (t+1)^2(t+2) over F3
+        (2, (1, 0, 1, 0, 1)),
+        (2, (0, 0, 0, 1, 1)),
+        (3, (2, 2, 1, 1)),
     ],
 )
 def test_orthogonal_multiplicity_against_bruteforce(p, coeffs):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from plcpkit.cfrac import laurent_cf, profile_from_cf
 from plcpkit.field import GF2, CoeffSeq, PrimeField
 from plcpkit.lincomplex import (
     BerlekampMassey,
@@ -133,6 +134,27 @@ def test_bm_generic_field():
     for n in range(L, len(s)):
         acc = sum(c.coefficient(j) * s.terms[n - j] for j in range(L + 1)) % 5
         assert acc == 0
+
+
+@pytest.mark.parametrize("p", [3, 7, 65521])
+@pytest.mark.parametrize("zeros", [0, 300])
+def test_bm_odd_p_on_long_inputs(p, zeros):
+    # 1024 terms over small and large p, with and without a long zero run;
+    # the profile must match the continued fraction's and the pushed
+    # connection polynomial must annihilate the whole prefix from L on
+    n = 1024
+    rng = random.Random(p * 1000 + zeros)
+    terms = [0] * zeros + [rng.randrange(p) for _ in range(n - zeros)]
+    s = CoeffSeq(PrimeField(p), terms, origin=1)
+    from_cf = profile_from_cf(laurent_cf(s), n).values
+    assert lcp_profile(s).values[: len(from_cf)] == from_cf
+    bm = BerlekampMassey(PrimeField(p))
+    for t in terms:
+        bm.push(t)
+    c, L = bm.connection_polynomial().coeffs, bm.length
+    assert c[0] == 1 and len(c) <= L + 1
+    for k in range(L, n):
+        assert sum(cj * terms[k - j] for j, cj in enumerate(c)) % p == 0, k
 
 
 def test_is_plcp():
