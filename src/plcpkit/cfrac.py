@@ -3,44 +3,40 @@
 A sequence prefix s_1..s_N determines the series S = sum s_n t^{-n}
 modulo t^{-(N+1)}, and so does the rational P/t^N with
 P = sum s_n t^{N-n}.  Partial quotients are those of Euclid's algorithm
-on (t^N, P), the division algorithm that also expands exact fractions
-(`rational_cf`); Euclid on this pair is Berlekamp-Massey in another
-guise (Dornstetter 1987).  With D the sum of the degrees kept so far and
-d the degree of the next quotient, the next convergent's error has
-order t^{-(2D+d)}.  So a quotient is recorded as *guaranteed* only while
-2(D + d) <= N, which is exactly the range the input pins down.  At the
-cut-off the next quotient has degree d if 2D + d <= N and at least
-N - 2D + 1 otherwise, as it does when the remainder vanishes: in both
-cases `next_degree_bound` is min(d, N - 2D + 1).  One Euclid loop,
-`_euclid`, does this for every field and for the exact expansion of
-`rational_cf`, on polynomials packed into ints: one bit per
-coefficient over F2, and for odd p one w-bit slot per coefficient, as
-in Kronecker substitution.  An odd-p division adds (p - c) times the
-shifted divisor for each quotient coefficient c, so a slot grows by at
-most (p-1)^2 a step.  A kept quotient has degree at most N/2, so a
-division takes at most S = N//2 + 1 steps (deg g + 1 in `rational_cf`);
-w is the bit length of (p-1) + S(p-1)^2 times Barrett's constant, the
-least width at which no slot carries into the next.  After each
-division Barrett's reduction (CRYPTO '86) puts every slot back in
-[0, p) at once, in three big-int operations, so the remainder can be
-read again.  Quotients are stored monic with the stripped leading units
-kept alongside (over F2 every unit is 1); each distinct packed quotient
-becomes one `DensePoly`, split once and shared by every place it occurs
-(over F2 nearly all are t or t + 1).
+on (t^N, P), the division algorithm that also expands exact fractions:
+`rational_cf` is one Euclid on (f, g), whose first quotient is the
+integer part (0 when deg f < deg g).  Euclid on (t^N, P) is
+Berlekamp-Massey in another guise (Dornstetter 1987).  With D the sum
+of the degrees kept so far and d the degree of the next quotient, the
+next convergent's error has order t^{-(2D+d)}.  So a quotient is
+recorded as *guaranteed* only while 2(D + d) <= N, which is exactly the
+range the input pins down.  At the cut-off the next quotient has
+degree d if 2D + d <= N and at least N - 2D + 1 otherwise, as it does
+when the remainder vanishes: in both cases `next_degree_bound` is
+min(d, N - 2D + 1).  One Euclid loop, `_euclid`, does this for every
+field and for the exact expansion of `rational_cf`, on polynomials
+packed into ints by `field._ring`: one bit per coefficient over F2, and
+for odd p one w-bit slot per coefficient, as in Kronecker substitution.
+An odd-p division adds (p - c) times the shifted divisor for each
+quotient coefficient c, so a slot grows by at most (p-1)^2 a step.  A
+kept quotient has degree at most N/2, so a division takes at most
+S = N//2 + 1 steps (in `rational_cf`, at most the larger of
+deg f + 1 and deg g + 1); w is the bit length of (p-1) + S(p-1)^2 times
+Barrett's constant, the least width at which no slot carries into the
+next.  After each division Barrett's reduction (CRYPTO '86) puts every
+slot back in [0, p) at once, in three big-int operations, so the
+remainder can be read again.  Quotients are stored monic with the
+stripped leading units kept alongside (over F2 every unit is 1); each
+distinct packed quotient becomes one `DensePoly`, split once and shared
+by every place it occurs (over F2 nearly all are t or t + 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
-from plcpkit.field import (
-    CoeffSeq,
-    DensePoly,
-    PrimeField,
-    pack_bits,
-    pack_slots,
-    poly_divmod,
-)
+from plcpkit.field import CoeffSeq, DensePoly, PrimeField, _ring, unpack_slots
 from plcpkit.lincomplex import LCProfile
 
 __all__ = [
@@ -78,9 +74,9 @@ class ContinuedFraction:
         if len(self.quotients) != len(self.units):
             raise ValueError("quotients and units must align")
         for q in self.quotients:
-            if q.is_zero or q.degree < 1:
+            if len(q.coeffs) < 2:
                 raise ValueError("partial quotients must have degree >= 1")
-            if q.lc != 1:
+            if q.coeffs[-1] != 1:
                 raise ValueError("stored quotients must be monic")
         for u in self.units:
             if not 1 <= u < self.field.p:
@@ -95,7 +91,7 @@ class ContinuedFraction:
         return self.units[j - 1] * self.quotients[j - 1]
 
     def degrees(self) -> tuple:
-        return tuple(q.degree for q in self.quotients)
+        return tuple(len(q.coeffs) - 1 for q in self.quotients)
 
     def __len__(self):
         return len(self.quotients)
@@ -113,69 +109,19 @@ class ConvergentPair:
     q: DensePoly
 
 
-def _divmod_packed(a: int, b: int):
-    """Quotient and remainder of F2 polynomials packed as ints, b != 0."""
-    db = b.bit_length()
-    q = 0
-    while (shift := a.bit_length() - db) >= 0:
-        q |= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
-def _ring(p: int, steps: int, slots: int):
-    """The slot width w, pack, divmod and size of `_euclid` over F_p.
-
-    Over F2 a slot is one bit (`pack_bits`, `_divmod_packed`,
-    int.bit_length).  For odd p, coefficient i of a polynomial is in the
-    w bits from i*w, every slot in [0, p) between divisions.  A division
-    of at most `steps` steps, on ints of at most `slots` slots, adds
-    (p - c) times the divisor per step, so a slot never passes
-    B = (p-1) + steps*(p-1)^2.  Barrett's reduction then puts every slot
-    back in [0, p): with k = bit_length(B) + bit_length(p) and
-    M = ceil(2^k / p), floor(x*M / 2^k) = floor(x / p) for x <= B, and
-    w = bit_length(B*M) is the least width with x*M < 2^w for every such
-    x, so the slot-wise floor is one multiply, one shift and the mask R
-    of each slot's low w - k bits.
-    """
-    if p == 2:
-        return 1, pack_bits, _divmod_packed, int.bit_length
-    B = p - 1 + steps * (p - 1) ** 2
-    k = B.bit_length() + p.bit_length()
-    M = -(-(1 << k) // p)
-    w = (B * M).bit_length()
-    slot = (1 << w) - 1
-    ones = ((1 << slots * w) - 1) // slot  # a 1 at the bottom of every slot
-    R = ((1 << w - k) - 1) * ones
-
-    def size(x):
-        return -(-x.bit_length() // w)
-
-    def divmod_(num, den):
-        top = size(den) - 1
-        inv = pow(den >> top * w, -1, p)
-        q = 0
-        for j in range(size(num) - 1 - top, -1, -1):
-            c = (num >> (top + j) * w & slot) * inv % p
-            if c:
-                q |= c << j * w
-                num += (p - c) * den << j * w
-        return q, num - p * (num * M >> k & R)
-
-    return w, lambda values: pack_slots(values, w), divmod_, size
-
-
 def _euclid(num, den, n: int | None, divmod_, size):
-    """Partial quotients of num/den, deg den < deg num, by the division
-    algorithm, and the next-degree bound.
+    """Partial quotients of num/den, den != 0, by the division algorithm,
+    and the next-degree bound.
 
     The polynomials are ints packed by `_ring`, with its divmod_ and
-    size; size(a) is deg a + 1.  For odd p a division of d + 1 steps
-    grows a slot by at most (d+1)(p-1)^2, and `_ring` sizes the slots for
-    the longest division the caller allows, so no slot carries into the
-    next.  With n None the expansion runs to its end and the bound is
-    None; otherwise num/den stands for a series known modulo t^{-(n+1)}
-    and the quotients stop at the cut-off in the module docstring.
+    size; size(a) is deg a + 1.  The first division may have
+    deg num < deg den (quotient 0), as for a proper f/g in `rational_cf`.
+    For odd p a division of d + 1 steps grows a slot by at most
+    (d+1)(p-1)^2, and `_ring` sizes the slots for the longest division
+    the caller allows, so no slot carries into the next.  With n None the
+    expansion runs to its end and the bound is None; otherwise num/den
+    stands for a series known modulo t^{-(n+1)} and the quotients stop at
+    the cut-off in the module docstring.
     """
     quotients = []
     total = 0  # sum of the kept degrees
@@ -198,12 +144,9 @@ def _monic_parts(field: PrimeField, packed, w: int):
     is safe because nothing assigns to .coeffs after DensePoly.__init__,
     so a DensePoly never changes.
     """
-    mask = (1 << w) - 1
     units, monics = {}, {}
     for q in set(packed):
-        units[q], monics[q] = DensePoly(
-            field, [q >> i & mask for i in range(0, q.bit_length(), w)]
-        ).monic()
+        units[q], monics[q] = DensePoly(field, unpack_slots(q, w)).monic()
     return tuple(map(units.__getitem__, packed)), tuple(map(monics.__getitem__, packed))
 
 
@@ -232,15 +175,14 @@ def rational_cf(f: DensePoly, g: DensePoly) -> ContinuedFraction:
         raise ValueError("mixed fields")
     if g.is_zero:
         raise ZeroDivisionError("zero denominator")
-    a0, rem = poly_divmod(f, g)
-    # the first division of g by rem is the longest: deg g + 1 steps at most
-    size_g = len(g.coeffs)
-    w, pack, divmod_, size = _ring(f.field.p, size_g, size_g)
-    packed, _ = _euclid(pack(g.coeffs), pack(rem.coeffs), None, divmod_, size)
-    units, monics = _monic_parts(f.field, packed, w)
+    # no division has more steps or slots than the longer input
+    n = max(len(f.coeffs), len(g.coeffs))
+    w, pack, divmod_, size = _ring(f.field.p, n, n)
+    packed, _ = _euclid(pack(f.coeffs), pack(g.coeffs), None, divmod_, size)
+    units, monics = _monic_parts(f.field, packed[1:], w)
     return ContinuedFraction(
         field=f.field,
-        integer_part=a0,
+        integer_part=DensePoly(f.field, unpack_slots(packed[0], w)),  # 0 if deg f < deg g
         quotients=monics,
         units=units,
         next_degree_bound=None,
@@ -319,17 +261,23 @@ def has_flat_expansion(cf: ContinuedFraction, n: int) -> bool:
 
 
 def series_prefix_of_fraction(f: DensePoly, g: DensePoly, n: int) -> CoeffSeq:
-    """First n Laurent tail coefficients s_1..s_n of f/g (deg f < deg g)."""
+    """First n Laurent tail coefficients s_1..s_n of f/g (deg f < deg g),
+    from the recurrence of g: O(n deg g) field operations, no division."""
     if g.is_zero:
         raise ZeroDivisionError("zero denominator")
     if not f.degree < g.degree:
         raise ValueError("needs deg f < deg g")
     if n < 1:
         raise ValueError("n must be >= 1")
-    shifted = f.shift(n)
-    q, _ = poly_divmod(shifted, g)
-    terms = [q.coefficient(n - m) for m in range(1, n + 1)]
-    return CoeffSeq(f.field, terms, origin=1)
+    # f = g * sum s_k t^{-k}: the coefficient of t^{d-k} gives
+    # s_k = (f_{d-k} - sum_{i<d} g_i s_{k-d+i}) / g_d, with s_j = 0 for j <= 0
+    p, gc = f.field.p, g.coeffs
+    d = len(gc) - 1
+    inv = pow(gc[d], -1, p)
+    s = [0] * d  # s_{1-d}..s_0, then s_k at index k + d - 1
+    for k in range(1, n + 1):
+        s.append((f.coefficient(d - k) - sum(map(mul, gc, s[k - 1 :]))) * inv % p)
+    return CoeffSeq(f.field, s[d:], origin=1)
 
 
 def orthogonal_multiplicity(g: DensePoly) -> int:

@@ -15,7 +15,7 @@ import sys
 
 from plcpkit import __version__, backend_name
 from plcpkit.automata import as_kernel_input, kernel_explore
-from plcpkit.cfrac import has_flat_expansion, laurent_cf, max_pq_degree, orthogonal_multiplicity
+from plcpkit.cfrac import has_flat_expansion, laurent_cf, orthogonal_multiplicity
 from plcpkit.field import (
     GF2,
     CoeffSeq,
@@ -198,18 +198,19 @@ def _cmd_cf(args):
     seq = read_sequence(args.infile).shift_index(1)
     cf = laurent_cf(seq)
     text = {q: q.to_string() for q in set(cf.quotients)}  # each distinct quotient once
+    degrees = cf.degrees()
     doc = {
         "tool-version": __version__,
         "format-version": REPORT_FORMAT,
         "invocation": f"plcpkit analyze cf --in {args.infile}",
         "field": cf.field.p,
         "integer-part": cf.integer_part.to_string(),
-        "degrees": list(cf.degrees()),
+        "degrees": list(degrees),
         "quotients": [text[q] for q in cf.quotients],
         "units": list(cf.units),
         "guaranteed-count": cf.guaranteed_count,
         "next-degree-bound": cf.next_degree_bound,
-        "max-degree": max_pq_degree(cf) if cf.guaranteed_count else None,
+        "max-degree": max(degrees, default=None),
         "flat": has_flat_expansion(cf, len(seq)),
     }
     _write_text(args.json or None, json.dumps(doc, indent=2) + "\n")

@@ -6,7 +6,10 @@ coefficients ascending by degree with no trailing zeros, and `CoeffSeq`
 is a finite sequence prefix with an explicit index origin (0 or 1).
 The F2 fast paths use ints as bit vectors; `pack_bits` and
 `unpack_bits` convert between those and 0/1 lists.  The odd-p fast
-paths put one residue in each w-bit slot of an int (`pack_slots`).
+paths put one residue in each w-bit slot of an int (`pack_slots`,
+`unpack_slots`).  `_ring` divides polynomials packed either way, with a
+slot-wise Barrett reduction over odd p: it is the package's one
+polynomial division, under `poly_divmod`, `poly_gcd` and `cfrac`.
 """
 
 from __future__ import annotations
@@ -201,14 +204,6 @@ class DensePoly:
         ui = self.field.inv(u)
         return u, DensePoly(self.field, [c * ui for c in self.coeffs])
 
-    def shift(self, k: int):
-        """Multiply by t^k."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if self.is_zero:
-            return self
-        return DensePoly(self.field, (0,) * k + self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, DensePoly)
@@ -236,36 +231,6 @@ class DensePoly:
 
     def __repr__(self):
         return f"DensePoly(F{self.field.p}, {self.to_string()})"
-
-
-def poly_divmod(a: DensePoly, b: DensePoly):
-    """Quotient and remainder with deg(remainder) < deg(divisor)."""
-    _check_same_field(a, b)
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    field = a.field
-    p = field.p
-    db = len(b.coeffs) - 1
-    if len(a.coeffs) - 1 < db:
-        return DensePoly.zero(field), a
-    binv = field.inv(b.lc)
-    rem = list(a.coeffs)
-    quo = [0] * (len(rem) - db)
-    for i in range(len(quo) - 1, -1, -1):
-        c = (rem[i + db] * binv) % p
-        if c:
-            quo[i] = c
-            for j, bj in enumerate(b.coeffs):
-                rem[i + j] = (rem[i + j] - c * bj) % p
-    return DensePoly(field, quo), DensePoly(field, rem[:db])
-
-
-def poly_gcd(a: DensePoly, b: DensePoly) -> DensePoly:
-    """Monic gcd (zero if both inputs are zero)."""
-    _check_same_field(a, b)
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()[1]
 
 
 def pack_bits(bits) -> int:
@@ -297,6 +262,90 @@ def unpack_bits(x: int, n: int) -> list:
         return []
     s = format(x & ((1 << n) - 1), f"0{n}b")
     return [1 if c == "1" else 0 for c in reversed(s)]
+
+
+def unpack_slots(x: int, w: int) -> list:
+    """The w-bit slots of x up to its top nonzero one; inverts `pack_slots`."""
+    mask = (1 << w) - 1
+    return [x >> i & mask for i in range(0, x.bit_length(), w)]
+
+
+def _divmod_packed(a: int, b: int):
+    """Quotient and remainder of F2 polynomials packed as ints, b != 0."""
+    db = b.bit_length()
+    q = 0
+    while (shift := a.bit_length() - db) >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def _ring(p: int, steps: int, slots: int):
+    """The slot width w, pack, divmod and size of polynomials over F_p.
+
+    Over F2 a slot is one bit (`pack_bits`, `_divmod_packed`,
+    int.bit_length).  For odd p, coefficient i of a polynomial is in the
+    w bits from i*w, every slot in [0, p) between divisions.  A division
+    of at most `steps` steps, on ints of at most `slots` slots, adds
+    (p - c) times the divisor per step, so a slot never passes
+    B = (p-1) + steps*(p-1)^2.  Barrett's reduction then puts every slot
+    back in [0, p): with k = bit_length(B) + bit_length(p) and
+    M = ceil(2^k / p), floor(x*M / 2^k) = floor(x / p) for x <= B, and
+    w = bit_length(B*M) is the least width with x*M < 2^w for every such
+    x, so the slot-wise floor is one multiply, one shift and the mask R
+    of each slot's low w - k bits.  size(a) is deg a + 1, 0 for zero.
+    """
+    if p == 2:
+        return 1, pack_bits, _divmod_packed, int.bit_length
+    B = p - 1 + steps * (p - 1) ** 2
+    k = B.bit_length() + p.bit_length()
+    M = -(-(1 << k) // p)
+    w = (B * M).bit_length()
+    slot = (1 << w) - 1
+    ones = ((1 << slots * w) - 1) // slot  # a 1 at the bottom of every slot
+    R = ((1 << w - k) - 1) * ones
+
+    def size(x):
+        return -(-x.bit_length() // w)
+
+    def divmod_(num, den):
+        top = size(den) - 1
+        inv = pow(den >> top * w, -1, p)
+        q = 0
+        for j in range(size(num) - 1 - top, -1, -1):
+            c = (num >> (top + j) * w & slot) * inv % p
+            if c:
+                q |= c << j * w
+                num += (p - c) * den << j * w
+        return q, num - p * (num * M >> k & R)
+
+    return w, lambda values: pack_slots(values, w), divmod_, size
+
+
+def poly_divmod(a: DensePoly, b: DensePoly):
+    """Quotient and remainder with deg(remainder) < deg(divisor), on `_ring`."""
+    _check_same_field(a, b)
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    field = a.field
+    steps = len(a.coeffs) - len(b.coeffs) + 1
+    if steps < 1:
+        return DensePoly.zero(field), a
+    w, pack, divmod_, _ = _ring(field.p, steps, len(a.coeffs))
+    q, r = divmod_(pack(a.coeffs), pack(b.coeffs))
+    return DensePoly(field, unpack_slots(q, w)), DensePoly(field, unpack_slots(r, w))
+
+
+def poly_gcd(a: DensePoly, b: DensePoly) -> DensePoly:
+    """Monic gcd (zero if both inputs are zero), by Euclid on `_ring`."""
+    _check_same_field(a, b)
+    # no division has more steps or slots than the longer input
+    n = max(len(a.coeffs), len(b.coeffs))
+    w, pack, divmod_, _ = _ring(a.field.p, n, n)
+    x, y = pack(a.coeffs), pack(b.coeffs)
+    while y:
+        x, y = y, divmod_(x, y)[1]
+    return DensePoly(a.field, unpack_slots(x, w)).monic()[1]
 
 
 class CoeffSeq:
@@ -378,6 +427,8 @@ class SequenceFormatError(ValueError):
 
 
 _HEADER_RE = re.compile(r"^#\s*field=(\d+)\s+origin=([01])\s+length=(\d+)\s*$")
+_NOT_A_BIT = re.compile(r"[^01]")
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def loads_sequence(text: str) -> CoeffSeq:
@@ -425,13 +476,12 @@ def loads_sequence(text: str) -> CoeffSeq:
                 )
             if terms:
                 raise SequenceFormatError("bits= after residue data", i + 1, start)
-            offset = start - 1 + len("bits=")
-            for j, ch in enumerate(stripped[len("bits=") :]):
-                if ch not in "01":
-                    raise SequenceFormatError(
-                        f"bad bit {ch!r}", i + 1, offset + j + 1
-                    )
-                terms.append(int(ch))
+            body = stripped[len("bits=") :]
+            bad = _NOT_A_BIT.search(body)
+            if bad:
+                col = start + len("bits=") + bad.start()
+                raise SequenceFormatError(f"bad bit {bad.group()!r}", i + 1, col)
+            terms = list(body.encode().translate(_BIT_VALUES))  # b"0", b"1" -> 0, 1
             continue
         col = 0
         for tok in re.finditer(r"\S+", ln):

@@ -3,11 +3,18 @@ import random
 
 import pytest
 from cf_oracle import _euclid as dense_euclid
-from cf_oracle import _size, dense_laurent_cf, dense_rational_cf, series_inverse_cf
+from cf_oracle import (
+    _size,
+    dense_divmod,
+    dense_laurent_cf,
+    dense_rational_cf,
+    dense_series_prefix,
+    series_inverse_cf,
+)
 from hypothesis import example, given, strategies as st
 
 from plcpkit.cfrac import (
-    _divmod_packed,
+    ContinuedFraction,
     _euclid,
     convergents,
     has_flat_expansion,
@@ -18,7 +25,16 @@ from plcpkit.cfrac import (
     rational_cf,
     series_prefix_of_fraction,
 )
-from plcpkit.field import GF2, NEG_INF, CoeffSeq, DensePoly, PrimeField, pack_bits, poly_divmod
+from plcpkit.field import (
+    GF2,
+    NEG_INF,
+    CoeffSeq,
+    DensePoly,
+    PrimeField,
+    _divmod_packed,
+    pack_bits,
+    poly_divmod,
+)
 from plcpkit.lincomplex import lcp_profile
 
 f2_seqs = st.lists(st.integers(0, 1), min_size=1, max_size=80).map(
@@ -160,7 +176,7 @@ def _both_euclids(bits):
     n = len(bits)
     packed = _euclid(1 << n, pack_bits(bits[::-1]), n, _divmod_packed, int.bit_length)
     dense = dense_euclid(
-        DensePoly.monomial(GF2, n), DensePoly(GF2, bits[::-1]), n, poly_divmod, _size
+        DensePoly.monomial(GF2, n), DensePoly(GF2, bits[::-1]), n, dense_divmod, _size
     )
     return packed, ([pack_bits(q.coeffs) for q in dense[0]], dense[1])
 
@@ -238,6 +254,9 @@ def test_slot_width_holds_the_widest_division():
     u = terms[n // 2 - 1 :]
     slot = sum((p - c) * u[j] for j, c in enumerate(q.coeffs) if c)
     assert slot > 0.99 * (p - 1 + (n // 2 + 1) * (p - 1) ** 2)
+    # poly_divmod sizes its slots for the same division of t^n by P
+    num, den = DensePoly.monomial(s.field, n), DensePoly(s.field, terms[::-1])
+    assert poly_divmod(num, den) == dense_divmod(num, den)
 
 
 def test_one_euclid_agrees_on_packed_and_dense_f2_at_word_boundaries():
@@ -248,6 +267,51 @@ def test_one_euclid_agrees_on_packed_and_dense_f2_at_word_boundaries():
         bits = [0] * zeros + [rng.randrange(2) for _ in range(n - zeros)]
         packed, dense = _both_euclids(bits)
         assert packed == dense, (n, zeros)
+
+
+def test_series_recurrence_matches_the_division():
+    # constant and long denominators, f = 0 and all-(p-1) coefficients
+    rng = random.Random(17)
+    for p in (2, 3, 5, 7, 13, 65521):
+        fld = PrimeField(p)
+        for dg in (0, 1, 3, 20, 70):
+            g = DensePoly(fld, [rng.randrange(p) for _ in range(dg)] + [rng.randrange(1, p)])
+            f = DensePoly(fld, [rng.randrange(p) for _ in range(dg)])
+            full_f, full_g = DensePoly(fld, [p - 1] * dg), DensePoly(fld, [p - 1] * (dg + 1))
+            for num, den in ((f, g), (DensePoly.zero(fld), g), (full_f, full_g)):
+                for n in (1, dg + 1, 300):
+                    assert series_prefix_of_fraction(num, den, n) == dense_series_prefix(
+                        num, den, n
+                    ), (num, den, n)
+
+
+_T = DensePoly(GF2, (0, 1))
+
+
+def _cf(quotients, units, bound, field=GF2):
+    return ContinuedFraction(field, DensePoly.zero(field), quotients, units, bound)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: _cf((_T,), (), 1), ValueError, "must align"),
+        (lambda: _cf((DensePoly.one(GF2),), (1,), 1), ValueError, "degree >= 1"),
+        (lambda: _cf((DensePoly.zero(GF2),), (1,), 1), ValueError, "degree >= 1"),
+        (lambda: _cf((DensePoly(PrimeField(3), (0, 2)),), (1,), 1, PrimeField(3)),
+         ValueError, "monic"),
+        (lambda: _cf((_T,), (2,), 1), ValueError, "nonzero residues"),
+        (lambda: _cf((_T,), (1,), 0), ValueError, "next_degree_bound"),
+        (lambda: _cf((_T,), (1,), None).partial_quotient(0), IndexError, "a_1..a_1"),
+        (lambda: _cf((_T,), (1,), None).partial_quotient(2), IndexError, "a_1..a_1"),
+    ],
+    ids=["unaligned", "constant", "zero", "not-monic", "unit-out-of-range", "bound-zero",
+         "index-0", "index-past-end"],
+)
+def test_continued_fraction_rejects_bad_fields_and_indices(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+    assert _cf((_T,), (1,), None).partial_quotient(1) == _T
 
 
 def test_laurent_cf_consumed_degree_bound():
@@ -333,7 +397,7 @@ def brute_om(g):
         a, b = g, f
         ok = True
         while b:
-            q, r = divmod(a, b)
+            q, r = dense_divmod(a, b)
             if q.degree != 1:
                 ok = False
                 break

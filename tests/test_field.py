@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from cf_oracle import series_inverse
+from cf_oracle import dense_divmod, dense_gcd, series_inverse
 from hypothesis import given, strategies as st
 
 from plcpkit.field import (
@@ -14,6 +14,7 @@ from plcpkit.field import (
     dumps_sequence,
     loads_sequence,
     pack_bits,
+    poly_divmod,
     poly_gcd,
     unpack_bits,
 )
@@ -114,6 +115,25 @@ def test_gcd_divides_both(a, b):
     assert g.lc == 1  # monic normalization
     assert (a % g).degree is NEG_INF
     assert (b % g).degree is NEG_INF
+
+
+def test_divmod_and_gcd_match_the_element_loop():
+    # long dividends over small divisors, divisors longer than the dividend,
+    # zero operands and all-(p-1) coefficients; over F3 a long dividend by
+    # the all-2 divisor grows slots past what fewer division steps allow
+    rng = random.Random(18)
+    for p in (2, 3, 5, 7, 13, 65521):
+        fld = PrimeField(p)
+        full = DensePoly(fld, [p - 1] * 60)
+        for _ in range(40):
+            a, b = (
+                DensePoly(fld, [rng.randrange(p) for _ in range(rng.randrange(*n))])
+                for n in ((100, 200), (60,))
+            )
+            for x, y in ((a, b), (b, a), (full, b), (a, full), (a, DensePoly.zero(fld))):
+                if y:
+                    assert poly_divmod(x, y) == dense_divmod(x, y), (x, y)
+                assert poly_gcd(x, y) == dense_gcd(x, y), (x, y)
 
 
 def test_monic_splits_unit():
@@ -240,6 +260,30 @@ def test_parse_errors_carry_position():
     with pytest.raises(SequenceFormatError) as e:
         loads_sequence("no header\n")
     assert e.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("", "empty input, expected a header line", 1, 1),
+        ("# field=4 origin=0 length=1\n1\n", "field modulus is not prime: 4", 1, 1),
+        ("# field=2 origin=0 length=0\n", "length must be >= 1", 1, 1),
+        ("# field=3 origin=0 length=2\nbits=10\n", "bits= form is only valid for field=2", 2, 1),
+        ("# field=3 origin=0 length=2\n1 x\n", "bad residue 'x'", 2, 3),
+        ("# field=2 origin=0 length=4\n  bits=10a1\n", "bad bit 'a'", 2, 10),
+    ],
+    ids=["empty", "composite-field", "zero-length", "bits-odd-field", "bad-residue", "bad-bit"],
+)
+def test_parse_errors_name_message_line_and_column(text, message, line, column):
+    with pytest.raises(SequenceFormatError) as e:
+        loads_sequence(text)
+    assert str(e.value) == f"{message} (line {line}, column {column})"
+    assert (e.value.line, e.value.column) == (line, column)
+
+
+def test_parse_skips_a_blank_line_after_the_header():
+    seq = loads_sequence("# field=3 origin=1 length=3\n\n  \n2 0 1\n")
+    assert seq == CoeffSeq(PrimeField(3), [2, 0, 1], origin=1)
 
 
 def test_parse_length_mismatch():

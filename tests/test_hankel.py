@@ -32,6 +32,7 @@ from plcpkit import hankel
 from plcpkit.hankel import (
     _MERSENNE_EXPONENTS,
     ApwwResult,
+    HankelReport,
     _f2_parities,
     _f2_rows,
     _group_table,
@@ -291,6 +292,24 @@ def test_apww_small_orders_exact():
     for n in range(1, 7):
         h = res.quotients[n - 1] * (1 << (n - 1))
         assert h == perm_det(hankel_rows(entries, n))
+
+
+@pytest.mark.parametrize("scale", [2, 0.5], ids=["odd-part-even", "power-too-small"])
+def test_apww_reports_the_first_failing_order(monkeypatch, scale):
+    # H_4 = 8: doubled it is 2^3 times an even integer, halved 2^3 no longer divides it
+    real = hankel.hankel_integer_pm1
+
+    def wrong_fourth(entries, max_order):
+        report = real(entries, max_order)
+        values = list(report.values)
+        values[3] = int(values[3] * scale)
+        return HankelReport(report.modulus, tuple(values))
+
+    monkeypatch.setattr(hankel, "hankel_integer_pm1", wrong_fourth)
+    res = apww_check(6)
+    assert res.ok is False and not res
+    assert res.first_failure == 4
+    assert res.quotients == (1, -1, 1)
 
 
 def test_apww_result_bool():
