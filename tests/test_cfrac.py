@@ -25,16 +25,7 @@ from plcpkit.cfrac import (
     rational_cf,
     series_prefix_of_fraction,
 )
-from plcpkit.field import (
-    GF2,
-    NEG_INF,
-    CoeffSeq,
-    DensePoly,
-    PrimeField,
-    _divmod_packed,
-    pack_bits,
-    poly_divmod,
-)
+from plcpkit.field import GF2, NEG_INF, CoeffSeq, DensePoly, PrimeField, _divmod_packed, pack_bits
 from plcpkit.lincomplex import lcp_profile
 
 f2_seqs = st.lists(st.integers(0, 1), min_size=1, max_size=80).map(
@@ -254,9 +245,6 @@ def test_slot_width_holds_the_widest_division():
     u = terms[n // 2 - 1 :]
     slot = sum((p - c) * u[j] for j, c in enumerate(q.coeffs) if c)
     assert slot > 0.99 * (p - 1 + (n // 2 + 1) * (p - 1) ** 2)
-    # poly_divmod sizes its slots for the same division of t^n by P
-    num, den = DensePoly.monomial(s.field, n), DensePoly(s.field, terms[::-1])
-    assert poly_divmod(num, den) == dense_divmod(num, den)
 
 
 def test_one_euclid_agrees_on_packed_and_dense_f2_at_word_boundaries():
