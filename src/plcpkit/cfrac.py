@@ -21,10 +21,9 @@ An odd-p division adds (p - c) times the shifted divisor for each
 quotient coefficient c, so a slot grows by at most (p-1)^2 a step.  A
 kept quotient has degree at most N/2, so a division takes at most
 S = N//2 + 1 steps (in `rational_cf`, at most the larger of
-deg f + 1 and deg g + 1); w is the bit length of (p-1) + S(p-1)^2 times
-Barrett's constant, the least width at which no slot carries into the
-next.  After each division Barrett's reduction (CRYPTO '86) puts every
-slot back in [0, p) at once, in three big-int operations, so the
+deg f + 1 and deg g + 1).  `field._slots` sizes w for S steps and
+gives the slot-wise Barrett reduction (CRYPTO '86) that puts every slot
+back in [0, p) after each division, in two multiplies, so the
 remainder can be read again.  Quotients are stored monic with the
 stripped leading units kept alongside (over F2 every unit is 1); each
 distinct packed quotient becomes one `DensePoly`, split once and shared

@@ -363,23 +363,16 @@ def _cmd_verify(args):
 # --- entry -----------------------------------------------------------------
 
 
+# gen and verify by command, analyze by its analysis
+_COMMANDS = {"gen": _cmd_gen, "verify": _cmd_verify, "lcp": _cmd_lcp, "cf": _cmd_cf,
+             "hankel": _cmd_hankel, "kernel": _cmd_kernel, "om": _cmd_om}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "analyze":
-            return {
-                "lcp": _cmd_lcp,
-                "cf": _cmd_cf,
-                "hankel": _cmd_hankel,
-                "kernel": _cmd_kernel,
-                "om": _cmd_om,
-            }[args.analysis](args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[getattr(args, "analysis", args.command)](args)
     except (_UsageError, ValueError, ZeroDivisionError, OSError) as e:
         # file format errors land here too: SequenceFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)

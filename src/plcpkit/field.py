@@ -7,8 +7,9 @@ is a finite sequence prefix with an explicit index origin (0 or 1).
 The F2 fast paths use ints as bit vectors; `pack_bits` and
 `unpack_bits` convert between those and 0/1 lists.  The odd-p fast
 paths put one residue in each w-bit slot of an int (`pack_slots`,
-`unpack_slots`).  `_ring` divides polynomials packed either way, with a
-slot-wise Barrett reduction over odd p: it is the package's one
+`unpack_slots`), with w and a slot-wise Barrett reduction from
+`_slots`: the one slot layout of the odd-p Hankel pass and of `_ring`.
+`_ring` divides polynomials packed either way: it is the package's one
 polynomial division, under `poly_divmod`, `poly_gcd` and `cfrac`.
 """
 
@@ -280,30 +281,48 @@ def _divmod_packed(a: int, b: int):
     return q, a
 
 
+def _slots(p: int, steps: int, count: int):
+    """The slot width w and the slot-wise reduction mod an odd prime p.
+
+    Both odd-p passes start each slot in [0, p) and add at most `steps`
+    times (p-1)^2 to it, so a slot never passes B = (p-1) + steps(p-1)^2.
+    reduce(x) puts every slot of an int of at most `count` slots back in
+    [0, p) by Barrett's reduction (CRYPTO '86): with k = bit_length(B) +
+    bit_length(p) and M = ceil(2^k / p), floor(v*M / 2^k) = floor(v / p)
+    for v <= B.  The even and the odd slots are multiplied by M apart, so
+    each product has 2w bits to itself: w = ceil(bit_length(B*M) / 2),
+    about bit_length(B) + 1.  Each half's floors are then one shift and
+    the mask R of each product's low 2w - k bits.
+    """
+    B = p - 1 + steps * (p - 1) ** 2
+    k = B.bit_length() + p.bit_length()
+    M = -(-(1 << k) // p)
+    w = -(-(B * M).bit_length() // 2)
+    ones = ((1 << (count + 1) // 2 * 2 * w) - 1) // ((1 << 2 * w) - 1)  # a 1 at every even slot
+    even = ((1 << w) - 1) * ones
+    R = ((1 << 2 * w - k) - 1) * ones
+    R_odd = R << w
+
+    def reduce(x):
+        return x - p * ((x & even) * M >> k & R | (x >> w & even) * M >> k - w & R_odd)
+
+    return w, reduce
+
+
 def _ring(p: int, steps: int, slots: int):
     """The slot width w, pack, divmod and size of polynomials over F_p.
 
     Over F2 a slot is one bit (`pack_bits`, `_divmod_packed`,
     int.bit_length).  For odd p, coefficient i of a polynomial is in the
-    w bits from i*w, every slot in [0, p) between divisions.  A division
-    of at most `steps` steps, on ints of at most `slots` slots, adds
-    (p - c) times the divisor per step, so a slot never passes
-    B = (p-1) + steps*(p-1)^2.  Barrett's reduction then puts every slot
-    back in [0, p): with k = bit_length(B) + bit_length(p) and
-    M = ceil(2^k / p), floor(x*M / 2^k) = floor(x / p) for x <= B, and
-    w = bit_length(B*M) is the least width with x*M < 2^w for every such
-    x, so the slot-wise floor is one multiply, one shift and the mask R
-    of each slot's low w - k bits.  size(a) is deg a + 1, 0 for zero.
+    w bits from i*w, every slot in [0, p) between divisions: a division
+    of at most `steps` steps on ints of at most `slots` slots takes w and
+    its closing reduction from `_slots(p, steps, slots)`.  size(a) is
+    deg a + 1, 0 for zero.
     """
     if p == 2:
         return 1, pack_bits, _divmod_packed, int.bit_length
-    B = p - 1 + steps * (p - 1) ** 2
-    k = B.bit_length() + p.bit_length()
-    M = -(-(1 << k) // p)
-    w = (B * M).bit_length()
+    w, reduce = _slots(p, steps, slots)
     slot = (1 << w) - 1
-    ones = ((1 << slots * w) - 1) // slot  # a 1 at the bottom of every slot
-    R = ((1 << w - k) - 1) * ones
 
     def size(x):
         return -(-x.bit_length() // w)
@@ -317,7 +336,7 @@ def _ring(p: int, steps: int, slots: int):
             if c:
                 q |= c << j * w
                 num += (p - c) * den << j * w
-        return q, num - p * (num * M >> k & R)
+        return q, reduce(num)
 
     return w, lambda values: pack_slots(values, w), divmod_, size
 

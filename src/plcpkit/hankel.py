@@ -7,12 +7,12 @@ Every field reads H_1..H_m from one incremental elimination of the
 rows of H_m.  Row k enters at step k and is reduced by the pivots kept
 so far, in increasing order of pivot column; if anything is left it
 becomes a pivot at its first nonzero column.  Adding multiples of
-earlier rows to a later one changes no leading minor.  If the pivot columns after
-row k-1 are exactly 0..k-1, the first k rows on the first k columns are
-a row-permuted triangular matrix and H_k = sign(sigma_k) times the
-product of the pivot entries, sigma_k mapping each row to its pivot
-column; otherwise H_k = 0.  Once a row reduces to zero, the rows so far
-are dependent and every later order is 0.
+earlier rows to a later one changes no leading minor.  If the pivot
+columns after row k-1 are exactly 0..k-1, the first k rows on the first
+k columns are a row-permuted triangular matrix and H_k = sign(sigma_k)
+times the product of the pivot entries, sigma_k mapping each row to its
+pivot column; otherwise H_k = 0.  Once a row reduces to zero, the rows
+so far are dependent and every later order is 0.
 
 Over F2 the rows are packed ints and only the parity is kept
 (`_f2_parities`, O(m^3/64) bit operations); `first_even_hankel_order`
@@ -25,15 +25,15 @@ columns of a row.  A row has only one reduced form, since one sum of
 the pivots clears every pivot column, so the grouping changes no reduced
 row, pivot or parity.  It cuts the Python steps of orders 1..m from
 about m^2/2 to about m^2/12, for m/6 tables of 64 rows.  For odd p
-(`_mod_p_values`) the pivot rows are scaled to a leading 1 and the sign
-is kept as a running inversion count.  Each row is one int with a slot
-of w bits per column, w the bit length of (p-1) + m(p-1)^2, as in
-Kronecker substitution: a slot starts below p and grows by at most
-(p-1)^2 per pivot, one pivot per column, so no slot carries into the
-next.  Reducing a row by a pivot is one multiply-add of m*w-bit ints,
-and the pass takes O(m^2) Python steps for orders 1..m.  As over F2,
-the prefix is packed once (`pack_slots`) and row k is cut from it at
-slot k.
+(`_mod_p_values`) the pivot rows are kept unscaled with the inverse of
+their leading entry, and the sign as a running inversion count.  Each
+row is one int with a slot of w bits per column, as in Kronecker
+substitution: a slot starts below p and grows by at most (p-1)^2 per
+pivot, so w and the Barrett reduction of a new pivot row come from
+`field._slots`, the layout of the odd-p division too.  Reducing a row
+by a pivot is one multiply-add of m*w-bit ints, and the pass takes
+O(m^2) Python steps for orders 1..m.  As over F2, the prefix is
+packed once (`pack_slots`) and row k is cut from it at slot k.
 
 The pass uses only the Hankel entries, so this route stays independent
 of the profile, the recurrences and the continued fraction.  It is the
@@ -53,7 +53,7 @@ from __future__ import annotations
 from bisect import bisect, insort
 from dataclasses import dataclass
 
-from plcpkit.field import CoeffSeq, pack_bits, pack_slots
+from plcpkit.field import CoeffSeq, _slots, pack_bits, pack_slots
 
 __all__ = [
     "HankelReport",
@@ -148,15 +148,9 @@ def _f2_parities(rows):
         yield 1 if cols == (2 << k) - 1 else 0
 
 
-def _slot_width(m: int, p: int) -> int:
-    """The slot width of `_mod_p_values`: the bit length of (p-1) + m(p-1)^2."""
-    return (p - 1 + m * (p - 1) ** 2).bit_length()
-
-
 def _mod_p_rows(terms, m: int, p: int):
-    """The rows of the order-m Hankel matrix of residues mod p, packed for
-    `_mod_p_values`: one prefix packed once, row k cut from slot k on."""
-    w = _slot_width(m, p)
+    """The order-m Hankel rows of residues mod p: one packed prefix, row k from slot k on."""
+    w, _ = _slots(p, m, m)
     return _hankel_rows(pack_slots(terms[: 2 * m - 1], w), m, w)
 
 
@@ -164,28 +158,25 @@ def _mod_p_values(rows, p: int, m: int):
     """Yield the leading minors mod the prime p of m x m packed rows, in order.
 
     See the module docstring.  Each row holds m residues in [0, p),
-    column j in the w bits from j*w, w = `_slot_width(m, p)`.  A pivot
-    row is kept from its pivot column on, scaled to a leading 1 and
-    reduced to residues, so reducing a row by it reads one slot, f, and
-    adds (p - f) times the pivot row: that slot then holds a multiple of
-    p, and no slot grows by more than (p-1)^2.  A row meets at most m pivots, one per column, so no slot
-    carries into the next, and slots are reduced mod p only where the
-    pass reads them: the new row's free columns, to find its pivot
-    column, and its pivot row, to scale it.  The pivot's original
-    leading entry goes into the running product.  That is O(m^2) Python
-    steps for orders 1..m, each on an m*w-bit int.  It also runs mod a
-    Mersenne prime for `hankel_integer_pm1`, where w is about twice the
-    prime's bits.
+    column j in the w bits from j*w, w and `reduce` from `_slots(p, m, m)`.
+    A pivot row is kept from its pivot column on, reduced and unscaled,
+    with the inverse of its leading entry: a row is reduced by it with
+    f = slot * inverse mod p and (p - f) times the pivot row, so no slot
+    grows by more than (p-1)^2 per pivot.  Slots are reduced mod p only
+    where they are read: the new row's free columns, to find its pivot
+    column, and its pivot row, in one `reduce`.  O(m^2) Python steps for
+    orders 1..m, each on an m*w-bit int; mod the Mersenne prime 2^e - 1
+    of `hankel_integer_pm1`, w is about 2e.
     """
     rows = iter(rows)
-    pivots = []  # (slot of the pivot column, scaled row from it on), sorted by slot
+    pivots = []  # (slot of the pivot column, inverse of its entry, row), sorted by slot
     det = 1  # sign of the map row -> pivot column, times the leading entries
-    w = _slot_width(m, p)
+    w, reduce = _slots(p, m, m)
     slot = (1 << w) - 1
     free = list(range(0, m * w, w))  # the slots of the columns with no pivot
     for k, x in enumerate(rows):
-        for s, piv in pivots:  # increasing: a pivot row is zero below its slot
-            f = (x >> s & slot) % p
+        for s, inv, piv in pivots:  # increasing: a pivot row is zero below its slot
+            f = (x >> s & slot) * inv % p
             if f:
                 x += (p - f) * piv
         s = next((s for s in free if (x >> s & slot) % p), None)
@@ -194,13 +185,10 @@ def _mod_p_values(rows, p: int, m: int):
             yield from (0 for _ in rows)
             return
         free.remove(s)
-        lead = (x >> s & slot) % p
-        inv = pow(lead, -1, p)
-        piv = 0
-        for t in range(m * w - w, s - 1, -w):
-            piv = piv << w | (x >> t & slot) * inv % p
+        x = reduce(x >> s)
+        lead = x & slot
         at = bisect(pivots, (s,))  # the slots are distinct, so rows never compare
-        pivots.insert(at, (s, piv << s))
+        pivots.insert(at, (s, pow(lead, -1, p), x << s))
         if (len(pivots) - 1 - at) & 1:  # earlier rows with a later pivot column
             lead = p - lead
         det = det * lead % p

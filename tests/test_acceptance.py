@@ -165,18 +165,28 @@ def test_criterion_5_scaled_thue_morse_determinants():
 
 
 def test_criterion_6_mean_profile_deviation_band():
+    # Rueppel (1986): over F2 the mean of L(n) is exactly
+    # n/2 + (4 + n mod 2)/18 - 2^-n (n/3 + 2/9)
+    means = {n: expected_lc_exhaustive(n) for n in range(1, 17)}
     bound = Fraction(5, 18)
     offenders = [
         (n, dev)
-        for n in range(2, 17)
-        if not 0 <= (dev := expected_lc_exhaustive(n) - Fraction(n, 2)) <= bound
+        for n, mean in means.items()
+        if n >= 2 and not 0 <= (dev := mean - Fraction(n, 2)) <= bound
+    ]
+    unequal = [
+        n
+        for n, mean in means.items()
+        if mean != Fraction(n, 2) + Fraction(4 + n % 2, 18)
+        - Fraction(1, 2**n) * (Fraction(n, 3) + Fraction(2, 9))
     ]
     _check(
         6,
-        not offenders,
-        "mean L(n) - n/2 stays in [0, 5/18] for 2 <= n <= 16 (exact rationals)"
-        if not offenders
-        else f"out of band: {offenders}",
+        not offenders and not unequal,
+        "mean L(n) - n/2 stays in [0, 5/18] for 2 <= n <= 16, and mean L(n) equals"
+        " Rueppel's closed form for 1 <= n <= 16 (exact rationals)"
+        if not offenders and not unequal
+        else f"out of band: {offenders}; not Rueppel's form at n in {unequal}",
     )
 
 

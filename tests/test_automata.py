@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plcpkit.automata import (
+    UVPair,
     UniformMorphism,
     as_kernel_input,
     build_from_u,
@@ -19,7 +20,7 @@ from plcpkit.automata import (
     uniform_morphism_scan,
     uv_decompose,
 )
-from plcpkit.field import GF2, CoeffSeq
+from plcpkit.field import GF2, CoeffSeq, PrimeField
 from plcpkit.lincomplex import is_plcp, lcp_profile, recurrence_check
 from plcpkit.seqgen import BitSource, morphism_fixed_point, named_sequence
 
@@ -248,3 +249,32 @@ def test_morphism_scan_bounds():
         uniform_morphism_scan(5, 256)
     with pytest.raises(ValueError, match="n must be"):
         uniform_morphism_scan(2, 100)
+
+
+def _f2(*terms):
+    return CoeffSeq(GF2, terms, origin=0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: UVPair(u=_f2(0, 1), v=_f2(0)), ValueError, "u must start with 1"),
+        (lambda: UVPair(u=_f2(1), v=_f2(1, 0)), ValueError, "v must start with 0"),
+        (
+            lambda: uv_decompose(CoeffSeq(PrimeField(3), [1, 2], origin=1)),
+            ValueError,
+            "decomposition is defined over F2",
+        ),
+        (
+            lambda: build_from_u(CoeffSeq(PrimeField(3), [1, 2], origin=0), 2),
+            ValueError,
+            "defined over F2",
+        ),
+        (lambda: build_from_u(_f2(1, 0), 0), ValueError, "length must be >= 1"),
+    ],
+    ids=["u-start", "v-start", "uv-field", "build-field", "build-length"],
+)
+def test_automata_calls_reject_bad_arguments(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

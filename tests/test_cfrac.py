@@ -424,3 +424,73 @@ def test_orthogonal_multiplicity_rejects_bad_inputs():
         orthogonal_multiplicity(DensePoly(f3, (1, 2)))  # leading coeff 2
     with pytest.raises(ValueError):
         orthogonal_multiplicity(DensePoly.one(GF2))  # degree 0
+
+
+F3 = PrimeField(3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: laurent_cf(CoeffSeq(GF2, [1], origin=0)),
+            ValueError,
+            "expects an origin-1 sequence; use shift_index(1)",
+        ),
+        (
+            lambda: rational_cf(DensePoly(GF2, [1]), DensePoly(F3, [1])),
+            ValueError,
+            "mixed fields",
+        ),
+        (
+            lambda: rational_cf(DensePoly(F3, [1]), DensePoly.zero(F3)),
+            ZeroDivisionError,
+            "zero denominator",
+        ),
+        (
+            lambda: convergents(laurent_cf(CoeffSeq(GF2, [1, 1, 0, 1], origin=1)), 3),
+            ValueError,
+            "j_max must be in [0, 2]",
+        ),
+        (
+            lambda: profile_from_cf(laurent_cf(CoeffSeq(GF2, [1], origin=1)), 0),
+            ValueError,
+            "n_max must be >= 1",
+        ),
+        (
+            lambda: series_prefix_of_fraction(DensePoly(F3, [1]), DensePoly.zero(F3), 4),
+            ZeroDivisionError,
+            "zero denominator",
+        ),
+        (
+            lambda: series_prefix_of_fraction(DensePoly(F3, [1, 1]), DensePoly(F3, [0, 1]), 4),
+            ValueError,
+            "needs deg f < deg g",
+        ),
+        (
+            lambda: series_prefix_of_fraction(DensePoly(F3, [1]), DensePoly(F3, [0, 1]), 0),
+            ValueError,
+            "n must be >= 1",
+        ),
+        (
+            lambda: orthogonal_multiplicity(DensePoly.monomial(GF2, 15)),
+            ValueError,
+            "exhaustive bound exceeded (p^deg g <= 2^14)",
+        ),
+    ],
+    ids=[
+        "laurent-origin",
+        "rational-mixed-fields",
+        "rational-zero-denominator",
+        "convergents-j-max",
+        "profile-n-max",
+        "series-zero-denominator",
+        "series-improper",
+        "series-length",
+        "om-exhaustive-bound",
+    ],
+)
+def test_cfrac_calls_reject_bad_arguments(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -11,9 +11,11 @@ from plcpkit.field import (
     DensePoly,
     PrimeField,
     SequenceFormatError,
+    _slots,
     dumps_sequence,
     loads_sequence,
     pack_bits,
+    pack_slots,
     poly_divmod,
     poly_gcd,
     unpack_bits,
@@ -134,6 +136,42 @@ def test_divmod_and_gcd_match_the_element_loop():
                 if y:
                     assert poly_divmod(x, y) == dense_divmod(x, y), (x, y)
                 assert poly_gcd(x, y) == dense_gcd(x, y), (x, y)
+
+
+@pytest.mark.parametrize("p", [3, 7, 65521, (1 << 127) - 1, (1 << 521) - 1])
+@pytest.mark.parametrize("count", [*range(1, 10), 256])
+def test_slot_reduction_puts_every_slot_in_range(p, count):
+    # slots from 0 to the bound B of `count` steps, in every position; an odd
+    # count leaves the last pair of an even and an odd slot half full
+    w, reduce = _slots(p, count, count)
+    B = p - 1 + count * (p - 1) ** 2
+    edges = (0, p - 1, p, B - 1, B)
+    rng = random.Random(count)
+    vectors = [[v] * count for v in edges]
+    vectors += [[rng.randint(0, B) for _ in range(count)] for _ in range(10)]
+    vectors += [[rng.choice(edges) for _ in range(count)] for _ in range(10)]
+    for v in vectors:
+        assert reduce(pack_slots(v, w)) == pack_slots([x % p for x in v], w)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: DensePoly(PrimeField(3), [1]) + DensePoly(PrimeField(5), [1]),
+            ValueError,
+            "mixed fields: PrimeField(3) vs PrimeField(5)",
+        ),
+        (lambda: DensePoly.monomial(GF2, -1), ValueError, "negative degree"),
+        (lambda: CoeffSeq(GF2, [1], origin=2), ValueError, "origin must be 0 or 1: 2"),
+        (lambda: CoeffSeq(GF2, [], origin=0), ValueError, "empty sequence"),
+    ],
+    ids=["mixed-fields", "negative-degree", "bad-origin", "empty-sequence"],
+)
+def test_field_calls_reject_bad_arguments(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_monic_splits_unit():

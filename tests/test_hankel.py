@@ -27,7 +27,7 @@ from hankel_oracle import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plcpkit.field import CoeffSeq, PrimeField, pack_slots, unpack_bits
+from plcpkit.field import CoeffSeq, PrimeField, _slots, pack_slots, unpack_bits
 from plcpkit import hankel
 from plcpkit.hankel import (
     _MERSENNE_EXPONENTS,
@@ -38,7 +38,6 @@ from plcpkit.hankel import (
     _group_table,
     _lift_modulus,
     _mod_p_values,
-    _slot_width,
     apww_check,
     first_even_hankel_order,
     hankel_integer_pm1,
@@ -75,7 +74,7 @@ def hankel_rows(entries, n):
 def packed_mod_p_values(rows, p):
     # the odd-p pass on residue rows, each packed as the pass packs Hankel rows
     m = len(rows)
-    w = _slot_width(m, p)
+    w, _ = _slots(p, m, m)
     return list(_mod_p_values([pack_slots(r, w) for r in rows], p, m))
 
 

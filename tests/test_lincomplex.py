@@ -224,3 +224,20 @@ def fsum3():
 def test_expected_lc_bound_guard():
     with pytest.raises(ValueError):
         expected_lc_exhaustive(17)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: lc_bruteforce(CoeffSeq(GF2, [1, 0], origin=0), 1),
+            ValueError,
+            "expects an origin-1 sequence; use shift_index(1)",
+        ),
+    ],
+    ids=["bruteforce-origin"],
+)
+def test_lincomplex_calls_reject_bad_arguments(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -305,3 +305,41 @@ def test_generators_are_pure(bits, n):
     b = phi3_generalized_rueppel(b2, n)
     assert a.terms == b.terms
     assert isinstance(a, CoeffSeq) and a.field is GF2
+
+
+_SOURCE = BitSource.periodic("", "1")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: BitSource("bogus"), ValueError, "unknown bit source kind: 'bogus'"),
+        (lambda: BitSource("periodic"), ValueError, "periodic bit source needs a nonempty period"),
+        (lambda: BitSource("literal", bits=(1, 2)), ValueError, "bit source values must be bits: 2"),
+        (lambda: _SOURCE.bit(-1), IndexError, "negative bit index"),
+        (lambda: phi3_generalized_rueppel(_SOURCE, 0), ValueError, "length must be >= 1"),
+        (lambda: phi2_selector(_SOURCE, 0), ValueError, "length must be >= 1"),
+        (lambda: phi1_jacobi(_SOURCE, 0), ValueError, "length must be >= 1"),
+        (lambda: named_sequence("thue-morse", 0), ValueError, "length must be >= 1"),
+        (
+            lambda: morphism_fixed_point(UniformMorphism((1, 1), (1, 0)), 0),
+            ValueError,
+            "length must be >= 1",
+        ),
+    ],
+    ids=[
+        "unknown-kind",
+        "empty-period",
+        "not-a-bit",
+        "negative-index",
+        "phi3-length",
+        "phi2-length",
+        "phi1-length",
+        "named-length",
+        "fixed-point-length",
+    ],
+)
+def test_seqgen_calls_reject_bad_arguments(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
