@@ -37,9 +37,7 @@ NEG_INF = float("-inf")
 
 
 def _is_prime(n):
-    # deterministic for the supported range (n < 2^16): trial division
-    if n < 2:
-        return False
+    # deterministic for the supported range (2 <= n < 2^16): trial division
     if n % 2 == 0:
         return n == 2
     d = 3
@@ -292,13 +290,19 @@ def _slots(p: int, steps: int, count: int):
     for v <= B.  The even and the odd slots are multiplied by M apart, so
     each product has 2w bits to itself: w = ceil(bit_length(B*M) / 2),
     about bit_length(B) + 1.  Each half's floors are then one shift and
-    the mask R of each product's low 2w - k bits.
+    the mask R of each product's low 2w - k bits.  Both masks are a
+    pattern times `ones`, a 1 in each pair of slots: doubling copies the
+    pairs so far above them, and a cut keeps (count+1)//2 pairs.
     """
     B = p - 1 + steps * (p - 1) ** 2
     k = B.bit_length() + p.bit_length()
     M = -(-(1 << k) // p)
     w = -(-(B * M).bit_length() // 2)
-    ones = ((1 << (count + 1) // 2 * 2 * w) - 1) // ((1 << 2 * w) - 1)  # a 1 at every even slot
+    pairs, have, ones = (count + 1) // 2, 1, 1
+    while have < pairs:
+        ones |= ones << have * 2 * w
+        have *= 2
+    ones &= (1 << pairs * 2 * w) - 1  # a 1 at every even slot
     even = ((1 << w) - 1) * ones
     R = ((1 << 2 * w - k) - 1) * ones
     R_odd = R << w

@@ -32,8 +32,9 @@ substitution: a slot starts below p and grows by at most (p-1)^2 per
 pivot, so w and the Barrett reduction of a new pivot row come from
 `field._slots`, the layout of the odd-p division too.  Reducing a row
 by a pivot is one multiply-add of m*w-bit ints, and the pass takes
-O(m^2) Python steps for orders 1..m.  As over F2, the prefix is
-packed once (`pack_slots`) and row k is cut from it at slot k.
+O(m^2) Python steps for orders 1..m.  Rows are cut once, in `_minors`:
+it packs the prefix, a bit or a w-bit slot a term, cuts row k from it
+at term k, and hands its layout, w and `reduce`, to `_mod_p_values`.
 
 The pass uses only the Hankel entries, so this route stays independent
 of the profile, the recurrences and the continued fraction.  It is the
@@ -76,17 +77,6 @@ class HankelReport:
     @property
     def max_order(self) -> int:
         return len(self.values)
-
-
-def _hankel_rows(full, m, w):
-    """The rows of the order-m Hankel matrix of a prefix packed with w bits a term."""
-    mask = (1 << m * w) - 1
-    return ((full >> k * w) & mask for k in range(m))
-
-
-def _f2_rows(terms, m):
-    """The rows of the order-m Hankel matrix of a 0/1 prefix, packed as ints."""
-    return _hankel_rows(pack_bits(terms[: 2 * m - 1]), m, 1)
 
 
 _GROUP = 6  # pivot columns per table, so a table has 64 rows
@@ -148,17 +138,11 @@ def _f2_parities(rows):
         yield 1 if cols == (2 << k) - 1 else 0
 
 
-def _mod_p_rows(terms, m: int, p: int):
-    """The order-m Hankel rows of residues mod p: one packed prefix, row k from slot k on."""
-    w, _ = _slots(p, m, m)
-    return _hankel_rows(pack_slots(terms[: 2 * m - 1], w), m, w)
-
-
-def _mod_p_values(rows, p: int, m: int):
+def _mod_p_values(rows, p: int, m: int, w: int, reduce):
     """Yield the leading minors mod the prime p of m x m packed rows, in order.
 
     See the module docstring.  Each row holds m residues in [0, p),
-    column j in the w bits from j*w, w and `reduce` from `_slots(p, m, m)`.
+    column j in the w bits from j*w, w and `reduce` from the caller's `_slots`.
     A pivot row is kept from its pivot column on, reduced and unscaled,
     with the inverse of its leading entry: a row is reduced by it with
     f = slot * inverse mod p and (p - f) times the pivot row, so no slot
@@ -171,7 +155,6 @@ def _mod_p_values(rows, p: int, m: int):
     rows = iter(rows)
     pivots = []  # (slot of the pivot column, inverse of its entry, row), sorted by slot
     det = 1  # sign of the map row -> pivot column, times the leading entries
-    w, reduce = _slots(p, m, m)
     slot = (1 << w) - 1
     free = list(range(0, m * w, w))  # the slots of the columns with no pivot
     for k, x in enumerate(rows):
@@ -195,6 +178,28 @@ def _mod_p_values(rows, p: int, m: int):
         yield det if pivots[-1][0] == k * w else 0
 
 
+def _minors(terms, m: int, p: int):
+    """Yield H_1..H_m mod p of a prefix: its 2m - 1 terms packed once, row k cut at term k."""
+    if p == 2:
+        w, full = 1, pack_bits(terms[: 2 * m - 1])
+    else:
+        w, reduce = _slots(p, m, m)
+        full = pack_slots(terms[: 2 * m - 1], w)
+    mask = (1 << m * w) - 1
+    rows = (full >> k * w & mask for k in range(m))
+    return _f2_parities(rows) if p == 2 else _mod_p_values(rows, p, m, w, reduce)
+
+
+def _check_order(max_order: int, have: int):
+    """Refuse an order below 1, or one that needs more than the `have` terms."""
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    if 2 * max_order - 1 > have:
+        raise ValueError(
+            f"insufficient terms: order {max_order} needs {2 * max_order - 1}, have {have}"
+        )
+
+
 def hankel_mod_p(c: CoeffSeq, max_order: int) -> HankelReport:
     """H_1..H_max_order of an origin-0 prefix, reduced mod p.
 
@@ -204,18 +209,8 @@ def hankel_mod_p(c: CoeffSeq, max_order: int) -> HankelReport:
     """
     if c.origin != 0:
         raise ValueError("expects an origin-0 sequence; use shift_index(0)")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    if 2 * max_order - 1 > len(c):
-        raise ValueError(
-            f"insufficient terms: order {max_order} needs {2 * max_order - 1}, have {len(c)}"
-        )
-    t, m = c.terms, max_order
-    if c.field.p == 2:
-        values = tuple(_f2_parities(_f2_rows(t, m)))
-    else:
-        values = tuple(_mod_p_values(_mod_p_rows(t, m, c.field.p), c.field.p, m))
-    return HankelReport(modulus=c.field.p, values=values)
+    _check_order(max_order, len(c))
+    return HankelReport(modulus=c.field.p, values=tuple(_minors(c.terms, max_order, c.field.p)))
 
 
 def first_even_hankel_order(c: CoeffSeq) -> int | None:
@@ -230,7 +225,7 @@ def first_even_hankel_order(c: CoeffSeq) -> int | None:
         raise ValueError("Hankel parities are defined over F2")
     if c.origin != 0:
         raise ValueError("expects an origin-0 sequence; use shift_index(0)")
-    parities = _f2_parities(_f2_rows(c.terms, (len(c) + 1) // 2))
+    parities = _minors(c.terms, (len(c) + 1) // 2, 2)
     return next((n for n, odd in enumerate(parities, start=1) if not odd), None)
 
 
@@ -256,26 +251,21 @@ def _lift_modulus(m: int) -> int | None:
 def hankel_integer_pm1(entries, max_order: int) -> HankelReport:
     """Exact integer H_1..H_max_order for a +-1 entry list.
 
-    The odd-p pass mod P = `_lift_modulus(max_order)`, lifted to the
-    symmetric range (see the module docstring): O(m^2) Python steps on
-    rows of m slots of about 2e bits for P = 2^e - 1, and e = 44497
-    covers m <= 6970.
+    The odd-p pass of `_minors` on the first 2m - 1 entries mod
+    P = `_lift_modulus(max_order)`, each value lifted to the symmetric
+    range (see the module docstring): O(m^2) Python steps on rows of m
+    slots of about 2e bits for P = 2^e - 1; e = 44497 covers m <= 6970.
     """
     ee = list(entries)
     for e in ee:
         if e not in (1, -1):
             raise ValueError(f"entries must be +-1: {e!r}")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    if 2 * max_order - 1 > len(ee):
-        raise ValueError(
-            f"insufficient terms: order {max_order} needs {2 * max_order - 1}, have {len(ee)}"
-        )
+    _check_order(max_order, len(ee))
     p = _lift_modulus(max_order)
     if p is None:
         raise ValueError(f"max_order must be <= 6970 for exact values, got {max_order}")
-    rows = _mod_p_rows([int(x) % p for x in ee[: 2 * max_order - 1]], max_order, p)
-    values = tuple(v - p if 2 * v > p else v for v in _mod_p_values(rows, p, max_order))
+    residues = [int(x) % p for x in ee[: 2 * max_order - 1]]
+    values = tuple(v - p if 2 * v > p else v for v in _minors(residues, max_order, p))
     return HankelReport(modulus=None, values=values)
 
 
@@ -297,8 +287,6 @@ def apww_check(max_order: int) -> ApwwResult:
 
     The exact H_n are `hankel_integer_pm1`'s: the odd-p pass mod a Mersenne prime.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
     entries = [1 - 2 * (i.bit_count() & 1) for i in range(2 * max_order - 1)]
     report = hankel_integer_pm1(entries, max_order)
     quotients = []

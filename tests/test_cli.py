@@ -443,6 +443,23 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch):
     assert "verdict: disagreement" in out
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gen", "--family", "rueppel1", "--length", "8"], 0),
+        (["analyze", "lcp", "--in", "missing.seq"], 1),
+    ],
+    ids=["ok", "usage"],
+)
+def test_entry_exits_with_the_code_of_main(monkeypatch, tmp_path, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.argv", ["plcpkit", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
+    assert ("error:" in capsys.readouterr().err) == bool(code)
+
+
 def test_bad_input_files(capsys, tmp_path):
     bad = tmp_path / "bad.seq"
     bad.write_text("garbage\n")

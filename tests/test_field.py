@@ -244,6 +244,21 @@ def test_pack_unpack_round_trip(bits):
     assert unpack_bits(packed, len(bits)) == list(bits)
 
 
+def test_unpack_of_no_bits_is_empty():
+    assert unpack_bits(0b1011, 0) == [] and unpack_bits(0b1011, -1) == []
+
+
+def test_field_hash_floor_division_and_repr():
+    f5 = PrimeField(5)
+    assert hash(f5) == hash(PrimeField(5)) == hash(("PrimeField", 5))
+    assert len({f5, PrimeField(5), GF2}) == 2
+    a, b = DensePoly(f5, [1, 0, 3]), DensePoly(f5, [2, 1])
+    assert a // b == DensePoly(f5, [4, 3]) == poly_divmod(a, b)[0]  # 3t^2+1 = (3t+4)(t+2) + 3
+    assert repr(a) == "DensePoly(F5, 3*t^2 + 1)"
+    assert repr(DensePoly(f5, [0, 1])) == "DensePoly(F5, t)"
+    assert repr(DensePoly.zero(f5)) == "DensePoly(F5, 0)"
+
+
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=40).filter(lambda v: v[0] == 1))
 def test_series_inverse_property(bits):
     prod = DensePoly(GF2, bits) * DensePoly(GF2, series_inverse(GF2, bits))

@@ -27,14 +27,13 @@ from hankel_oracle import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plcpkit.field import CoeffSeq, PrimeField, _slots, pack_slots, unpack_bits
+from plcpkit.field import CoeffSeq, PrimeField, _slots, pack_bits, pack_slots, unpack_bits
 from plcpkit import hankel
 from plcpkit.hankel import (
     _MERSENNE_EXPONENTS,
     ApwwResult,
     HankelReport,
     _f2_parities,
-    _f2_rows,
     _group_table,
     _lift_modulus,
     _mod_p_values,
@@ -74,8 +73,8 @@ def hankel_rows(entries, n):
 def packed_mod_p_values(rows, p):
     # the odd-p pass on residue rows, each packed as the pass packs Hankel rows
     m = len(rows)
-    w, _ = _slots(p, m, m)
-    return list(_mod_p_values([pack_slots(r, w) for r in rows], p, m))
+    w, reduce = _slots(p, m, m)
+    return list(_mod_p_values([pack_slots(r, w) for r in rows], p, m, w, reduce))
 
 
 mod_p_inputs = st.sampled_from([2, 3, 5, 7]).flatmap(
@@ -250,7 +249,7 @@ def test_lift_modulus_is_the_least_mersenne_prime_above_twice_hadamard():
 
 
 def test_pm1_past_the_table_raises_before_eliminating(monkeypatch):
-    def eliminate(rows, p, m):
+    def eliminate(rows, p, m, w, reduce):
         raise AssertionError("eliminated past the table")
 
     monkeypatch.setattr(hankel, "_mod_p_values", eliminate)
@@ -279,6 +278,67 @@ def test_mod_p_input_validation():
         hankel_mod_p(c, 3)
     with pytest.raises(ValueError, match="max_order"):
         hankel_mod_p(c, 0)
+
+
+F2_THREE = CoeffSeq(GF2, [1, 0, 1], origin=0)
+TOO_LONG = [1, -1] * 6970 + [1]  # 13,941 terms, enough for order 6,971
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: hankel_mod_p(F2_THREE.shift_index(1), 1),
+            "expects an origin-0 sequence; use shift_index(0)",
+        ),
+        (lambda: hankel_mod_p(F2_THREE, 0), "max_order must be >= 1"),
+        (lambda: hankel_mod_p(F2_THREE, -1), "max_order must be >= 1"),
+        (lambda: hankel_mod_p(F2_THREE, 3), "insufficient terms: order 3 needs 5, have 3"),
+        (
+            lambda: first_even_hankel_order(CoeffSeq(PrimeField(3), [1, 2, 1], origin=0)),
+            "Hankel parities are defined over F2",
+        ),
+        (
+            lambda: first_even_hankel_order(F2_THREE.shift_index(1)),
+            "expects an origin-0 sequence; use shift_index(0)",
+        ),
+        (lambda: is_apwenian_hankel(CoeffSeq(GF2, [0, 1, 1], origin=0)), "requires leading term 1"),
+        (lambda: hankel_integer_pm1([1, 0, 1], 2), "entries must be +-1: 0"),
+        (lambda: hankel_integer_pm1([1, -1, 1], 0), "max_order must be >= 1"),
+        (lambda: hankel_integer_pm1([1, -1, 1], 3), "insufficient terms: order 3 needs 5, have 3"),
+        (
+            lambda: hankel_integer_pm1(TOO_LONG, 6971),
+            "max_order must be <= 6970 for exact values, got 6971",
+        ),
+        (
+            # the terms are checked before the table of lift moduli
+            lambda: hankel_integer_pm1([1, -1, 1], 6971),
+            "insufficient terms: order 6971 needs 13941, have 3",
+        ),
+        (lambda: apww_check(0), "max_order must be >= 1"),
+        (lambda: apww_check(-1), "max_order must be >= 1"),
+    ],
+    ids=[
+        "mod-p-origin-1",
+        "mod-p-order-0",
+        "mod-p-order-negative",
+        "mod-p-too-few-terms",
+        "first-even-F3",
+        "first-even-origin-1",
+        "apwenian-leading-0",
+        "pm1-entry-0",
+        "pm1-order-0",
+        "pm1-too-few-terms",
+        "pm1-past-the-table",
+        "pm1-past-the-table-too-few-terms",
+        "apww-order-0",
+        "apww-order-negative",
+    ],
+)
+def test_hankel_calls_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_apww_small_orders_exact():
@@ -553,7 +613,8 @@ def test_f2_orders_around_group_boundaries(m):
         c = CoeffSeq(GF2, bits, origin=0)
         per_order = hankel_parities(bits, m)
         assert list(hankel_mod_p(c, m).values) == per_order
-        assert list(one_pass_parities(_f2_rows(bits, m))) == per_order
+        rows = [pack_bits(bits[k : k + m]) for k in range(m)]
+        assert list(one_pass_parities(rows)) == per_order
         assert first_even_hankel_order(c) == first_zero(per_order)
 
 
@@ -570,7 +631,8 @@ def test_grouped_pass_matches_the_ungrouped_pass_on_long_inputs(bits, first_even
     # the ungrouped pass is O(m^3/64) too; a per-order oracle is too slow at m = 2048
     c, m = CoeffSeq(GF2, bits, origin=0), (len(bits) + 1) // 2
     values = hankel_mod_p(c, m).values
-    assert list(values) == list(one_pass_parities(_f2_rows(bits, m)))
+    rows = [pack_bits(bits[k : k + m]) for k in range(m)]
+    assert list(values) == list(one_pass_parities(rows))
     assert first_even_hankel_order(c) == first_zero(values) == first_even
     if first_even is not None:
         assert 1 in values[first_even:] and 0 in values[first_even:]  # the pass runs on past it

@@ -221,6 +221,16 @@ def fsum3():
     return total
 
 
+def test_profile_len_and_repr():
+    bits = [1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]
+    long = lcp_profile(CoeffSeq(GF2, bits, origin=1))
+    assert len(long) == 13
+    assert repr(long) == "LCProfile(F2, [1,1,2,2,2,2,5,5,5,5,5,5,...], len=13)"
+    short = lcp_profile(CoeffSeq(PrimeField(3), [0, 2, 1], origin=1))
+    assert len(short) == 3
+    assert repr(short) == f"LCProfile(F3, [{','.join(map(str, short.values))}], len=3)"
+
+
 def test_expected_lc_bound_guard():
     with pytest.raises(ValueError):
         expected_lc_exhaustive(17)
@@ -234,8 +244,9 @@ def test_expected_lc_bound_guard():
             ValueError,
             "expects an origin-1 sequence; use shift_index(1)",
         ),
+        (lambda: expected_lc_exhaustive(0), ValueError, "n must be >= 1"),
     ],
-    ids=["bruteforce-origin"],
+    ids=["bruteforce-origin", "exhaustive-n-0"],
 )
 def test_lincomplex_calls_reject_bad_arguments(call, error, message):
     with pytest.raises(error) as info:

@@ -96,6 +96,7 @@ class TestBitSource:
     )
     def test_parse_spec_round_trip(self, spec):
         assert BitSource.parse(spec).spec() == spec
+        assert repr(BitSource.parse(spec)) == f"BitSource({spec!r})"
 
     @pytest.mark.parametrize(
         "bad",
