@@ -228,7 +228,7 @@ def test_profile_len_and_repr():
     assert repr(long) == "LCProfile(F2, [1,1,2,2,2,2,5,5,5,5,5,5,...], len=13)"
     short = lcp_profile(CoeffSeq(PrimeField(3), [0, 2, 1], origin=1))
     assert len(short) == 3
-    assert repr(short) == f"LCProfile(F3, [{','.join(map(str, short.values))}], len=3)"
+    assert repr(short) == "LCProfile(F3, [0,2,2], len=3)"
 
 
 def test_expected_lc_bound_guard():
