@@ -39,9 +39,8 @@ from plcpkit.seqgen import (
 from plcpkit.lincomplex import (
     BerlekampMassey,
     LCProfile,
-    expected_lc_exhaustive,
+    expected_lc,
     is_plcp,
-    lc_bruteforce,
     lcp_profile,
     recurrence_check,
 )

@@ -225,23 +225,23 @@ def _cmd_hankel(args):
         if seq.field.p != 2:
             raise _UsageError("--exact-pm1 needs a field=2 input")
         entries = [1 - 2 * t for t in seq.terms]
-        report = hankel_integer_pm1(entries, args.max_order)
-        rows = [(n, v, v % 2 != 0) for n, v in enumerate(report.values, start=1)]
+        values = hankel_integer_pm1(entries, args.max_order).values
     else:
-        report = hankel_mod_p(seq, args.max_order)
-        if seq.field.p == 2:
-            rows = [(n, v, v == 1) for n, v in enumerate(report.values, start=1)]
-        else:
-            rows = [(n, v, "-") for n, v in enumerate(report.values, start=1)]
+        values = hankel_mod_p(seq, args.max_order).values
+    # the odd column is a parity: F2 and exact values have one, odd p shows "-"
+    rows = [
+        (n, v, ("true" if v % 2 else "false") if seq.field.p == 2 else "-")
+        for n, v in enumerate(values, start=1)
+    ]
     if args.csv:
         with open(args.csv, "w", newline="", encoding="ascii") as fh:
             w = csv.writer(fh)
             w.writerow(("n", "value", "odd"))
-            w.writerows((n, v, odd if odd == "-" else str(odd).lower()) for n, v, odd in rows)
+            w.writerows(rows)
     else:
         label = "exact" if args.exact_pm1 else f"mod {seq.field.p}"
         lines = [f"hankel determinants ({label}), orders 1..{args.max_order}", "n\tvalue\todd"]
-        lines += [f"{n}\t{v}\t{odd if odd == '-' else str(odd).lower()}" for n, v, odd in rows]
+        lines += [f"{n}\t{v}\t{odd}" for n, v, odd in rows]
         sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -244,6 +244,8 @@ _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
 
 def _lift_modulus(m: int) -> int | None:
     """The least P = 2^e - 1 of the table with P^2 > 4 m^m, or None past it."""
+    if m * (m.bit_length() - 1) >= 2 * _MERSENNE_EXPONENTS[-1]:
+        return None  # m^m >= 2^(m (bit_length - 1)) is past every P^2: skip the power
     bound = 4 * m**m
     return next((p for e in _MERSENNE_EXPONENTS if (p := (1 << e) - 1) ** 2 > bound), None)
 

@@ -6,8 +6,10 @@ relation has L = n.  Profiles are produced incrementally by one
 algorithm, Berlekamp-Massey: `BerlekampMassey` over any F_p, updating
 its connection polynomial in place (one copy per length change, none
 per discrepancy), and over F2 the same synthesis on packed ints
-(`_f2_profile`).  A direct search over the definition (`lc_bruteforce`)
-is the independent oracle and never sees the incremental state.
+(`_f2_profile`).  The tests check it against a direct search over the
+definition (`tests/lc_oracle.py`), which never sees the incremental
+state.  `expected_lc` gives the exact mean of L(n) over F2 from the
+count law, not by running the profile.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ __all__ = [
     "BerlekampMassey",
     "lcp_profile",
     "is_plcp",
-    "lc_bruteforce",
     "recurrence_check",
-    "expected_lc_exhaustive",
+    "expected_lc",
 ]
 
 
@@ -158,60 +159,6 @@ def is_plcp(profile: LCProfile) -> bool:
     return all(l == (i + 2) // 2 for i, l in enumerate(profile.values))
 
 
-def _has_recurrence(terms, k, field):
-    # is there c_1..c_k with a(i+k) = sum_j c_j a(i+k-j) on the whole prefix?
-    n = len(terms)
-    if k == 0:
-        return all(t == 0 for t in terms)
-    if k >= n:
-        return True
-    p = field.p
-    # solvability of the definitional linear system
-    rows = []
-    for i in range(n - k):
-        rows.append([terms[i + k - j] % p for j in range(1, k + 1)] + [terms[i + k] % p])
-    cols = k
-    rank_row = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank_row, len(rows)):
-            if rows[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank_row], rows[piv] = rows[piv], rows[rank_row]
-        inv = field.inv(rows[rank_row][col])
-        rows[rank_row] = [(x * inv) % p for x in rows[rank_row]]
-        for r in range(len(rows)):
-            if r != rank_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank_row])]
-        rank_row += 1
-    # inconsistent iff some row is 0 ... 0 | nonzero
-    for r in rows:
-        if any(x % p for x in r[:cols]):
-            continue
-        if r[cols] % p:
-            return False
-    return True
-
-
-def lc_bruteforce(s: CoeffSeq, n: int) -> int:
-    """L(n) straight from the definition; independent of the profile code."""
-    if s.origin != 1:
-        raise ValueError("expects an origin-1 sequence; use shift_index(1)")
-    if not 1 <= n <= len(s):
-        raise ValueError(f"n must be in [1, {len(s)}]")
-    if n > 24:
-        raise ValueError("brute-force bound exceeded (n <= 24)")
-    terms = list(s.terms[:n])
-    for k in range(n + 1):
-        if _has_recurrence(terms, k, s.field):
-            return k
-    raise AssertionError("unreachable: k = n always satisfies")
-
-
 def recurrence_check(s: CoeffSeq) -> bool:
     """Feedback relation for binary sequences with a leading one.
 
@@ -233,14 +180,14 @@ def recurrence_check(s: CoeffSeq) -> bool:
     return True
 
 
-def expected_lc_exhaustive(n: int) -> Fraction:
-    """Exact mean of L(n) over all 2^n binary sequences."""
+def expected_lc(n: int) -> Fraction:
+    """Exact mean of L(n) over all 2^n binary sequences, from the count law.
+
+    One sequence (the zero one) has L(n) = 0, 2^(2L-1) have L(n) = L for
+    1 <= L <= n/2 and 2^(2(n-L)) for n/2 < L <= n (Gustavson 1976), so
+    the sum takes n steps.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 16:
-        raise ValueError("exhaustive bound exceeded (n <= 16)")
-    total = 0
-    for x in range(1 << n):
-        bits = [(x >> i) & 1 for i in range(n)]
-        total += _f2_profile(bits)[-1]
+    total = sum(l << (2 * l - 1 if 2 * l <= n else 2 * (n - l)) for l in range(1, n + 1))
     return Fraction(total, 1 << n)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from cf_oracle import series_inverse_cf
 from conftest import record_acceptance
 from hankel_oracle import hankel_by_columns, hankel_parities
+from lc_oracle import expected_lc_exhaustive, lc_bruteforce
 
 from plcpkit.automata import (
     as_kernel_input,
@@ -36,9 +37,8 @@ from plcpkit.field import (
 from plcpkit.hankel import apww_check, hankel_mod_p
 from plcpkit.lincomplex import (
     BerlekampMassey,
-    expected_lc_exhaustive,
+    expected_lc,
     is_plcp,
-    lc_bruteforce,
     lcp_profile,
     recurrence_check,
 )
@@ -167,6 +167,11 @@ def test_criterion_5_scaled_thue_morse_determinants():
 def test_criterion_6_mean_profile_deviation_band():
     # Rueppel (1986): over F2 the mean of L(n) is exactly
     # n/2 + (4 + n mod 2)/18 - 2^-n (n/3 + 2/9)
+    def rueppel_mean(n):
+        return Fraction(n, 2) + Fraction(4 + n % 2, 18) - Fraction(1, 2**n) * (
+            Fraction(n, 3) + Fraction(2, 9)
+        )
+
     means = {n: expected_lc_exhaustive(n) for n in range(1, 17)}
     bound = Fraction(5, 18)
     offenders = [
@@ -174,19 +179,18 @@ def test_criterion_6_mean_profile_deviation_band():
         for n, mean in means.items()
         if n >= 2 and not 0 <= (dev := mean - Fraction(n, 2)) <= bound
     ]
-    unequal = [
-        n
-        for n, mean in means.items()
-        if mean != Fraction(n, 2) + Fraction(4 + n % 2, 18)
-        - Fraction(1, 2**n) * (Fraction(n, 3) + Fraction(2, 9))
-    ]
+    # enumeration = count law up to 16, count law = Rueppel's form up to 1024
+    law = {n: expected_lc(n) for n in range(1, 1025)}
+    unequal = [n for n, mean in means.items() if mean != law[n]]
+    unequal += [n for n, mean in law.items() if mean != rueppel_mean(n)]
     _check(
         6,
         not offenders and not unequal,
-        "mean L(n) - n/2 stays in [0, 5/18] for 2 <= n <= 16, and mean L(n) equals"
-        " Rueppel's closed form for 1 <= n <= 16 (exact rationals)"
+        "mean L(n) - n/2 stays in [0, 5/18] for 2 <= n <= 16; the 2^n enumeration,"
+        " the count law and Rueppel's closed form agree for 1 <= n <= 16, and the"
+        " count law equals the form for n <= 1024 (exact rationals)"
         if not offenders and not unequal
-        else f"out of band: {offenders}; not Rueppel's form at n in {unequal}",
+        else f"out of band: {offenders}; the three means differ at n in {unequal}",
     )
 
 

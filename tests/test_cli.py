@@ -5,6 +5,7 @@ import importlib
 import json
 import pkgutil
 import random
+import types
 
 import pytest
 from hankel_oracle import bareiss_values, hankel_by_columns, hankel_parities
@@ -46,6 +47,32 @@ def test_every_export_resolves():
         assert [n for n in names if not hasattr(module, n)] == [], info.name
         exported += len(names)
     assert exported
+
+
+# everything `import plcpkit` offers besides its submodules
+_TOP_LEVEL = {
+    "BerlekampMassey", "BitSource", "CoeffSeq", "ContinuedFraction", "DensePoly", "GF2",
+    "LCProfile", "PrimeField", "UniformMorphism", "apww_check", "as_kernel_input",
+    "backend_name", "build_from_u", "convergents", "decimate", "eventually_periodic",
+    "expected_lc", "first_even_hankel_order", "hankel_integer_pm1", "hankel_mod_p",
+    "has_flat_expansion", "is_apwenian_hankel", "is_plcp", "kernel_explore", "klx_check",
+    "laurent_cf", "lcp_profile", "max_pq_degree", "morphism_fixed_point", "named_sequence",
+    "orthogonal_multiplicity", "phi1_jacobi", "phi2_selector", "phi3_generalized_rueppel",
+    "phi3_kernel_counts", "phi3_kernel_size", "poly_divmod", "poly_gcd", "profile_from_cf",
+    "rational_cf", "read_sequence", "recurrence_check", "rueppel", "uniform_morphism_scan",
+    "uv_decompose", "write_sequence",
+}
+
+
+def test_top_level_public_names():
+    # a public name leaves `import plcpkit` only with this set; the profile's
+    # oracles live in tests/lc_oracle.py, the count-law mean in the library
+    names = {
+        n
+        for n in dir(plcpkit)
+        if not n.startswith("_") and not isinstance(getattr(plcpkit, n), types.ModuleType)
+    }
+    assert names == _TOP_LEVEL
 
 
 def test_gen_stdout_matches_file_output(capsys, tmp_path):

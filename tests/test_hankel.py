@@ -246,6 +246,7 @@ def test_lift_modulus_is_the_least_mersenne_prime_above_twice_hadamard():
     assert _lift_modulus(145) == (1 << 607) - 1
     assert _lift_modulus(6970) == (1 << 44497) - 1
     assert _lift_modulus(6971) is None
+    assert _lift_modulus(10**6) is None  # refused without the 20-million-bit power
 
 
 def test_pm1_past_the_table_raises_before_eliminating(monkeypatch):

@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from lc_oracle import expected_lc_exhaustive, lc_bruteforce
 
 from plcpkit.cfrac import laurent_cf, profile_from_cf
 from plcpkit.field import GF2, CoeffSeq, PrimeField
 from plcpkit.lincomplex import (
     BerlekampMassey,
     LCProfile,
-    expected_lc_exhaustive,
+    expected_lc,
     is_plcp,
-    lc_bruteforce,
     lcp_profile,
     recurrence_check,
 )
@@ -210,6 +210,10 @@ def test_expected_lc_small_values():
     assert expected_lc_exhaustive(1) == Fraction(1, 2)
     assert expected_lc_exhaustive(2) == Fraction(1)  # (0+2+1+1)/4
     assert expected_lc_exhaustive(3) == Fraction(fsum3(), 8)
+    # the count law gives the same three means
+    assert expected_lc(1) == Fraction(1, 2)
+    assert expected_lc(2) == Fraction(1)
+    assert expected_lc(3) == Fraction(fsum3(), 8)
 
 
 def fsum3():
@@ -245,8 +249,10 @@ def test_expected_lc_bound_guard():
             "expects an origin-1 sequence; use shift_index(1)",
         ),
         (lambda: expected_lc_exhaustive(0), ValueError, "n must be >= 1"),
+        (lambda: expected_lc(0), ValueError, "n must be >= 1"),
+        (lambda: expected_lc(-1), ValueError, "n must be >= 1"),
     ],
-    ids=["bruteforce-origin", "exhaustive-n-0"],
+    ids=["bruteforce-origin", "exhaustive-n-0", "expected-n-0", "expected-n-negative"],
 )
 def test_lincomplex_calls_reject_bad_arguments(call, error, message):
     with pytest.raises(error) as info:
