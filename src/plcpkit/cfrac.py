@@ -24,15 +24,16 @@ S = N//2 + 1 steps (in `rational_cf`, at most the larger of
 deg f + 1 and deg g + 1).  `field._slots` sizes w for S steps and
 gives the slot-wise Barrett reduction (CRYPTO '86) that puts every slot
 back in [0, p) after each division, in two multiplies, so the
-remainder can be read again.  Quotients are stored monic with the
-stripped leading units kept alongside (over F2 every unit is 1); each
-distinct packed quotient becomes one `DensePoly`, split once and shared
-by every place it occurs (over F2 nearly all are t or t + 1).
+remainder can be read again.  One builder, `_fraction`, makes every
+`ContinuedFraction`: monic quotients with their units (over F2 all 1),
+one `DensePoly` per distinct packed quotient, split once and shared by
+every place it occurs (over F2 nearly all are t or t + 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from operator import mul
 
 from plcpkit.field import CoeffSeq, DensePoly, PrimeField, _ring, unpack_slots
@@ -135,37 +136,33 @@ def _euclid(num, den, n: int | None, divmod_, size):
     return quotients, None if n is None else n - 2 * total + 1
 
 
-def _monic_parts(field: PrimeField, packed, w: int):
-    """The leading units and the monic parts of packed quotients.
+def _fraction(field: PrimeField, w: int, integer_part, packed, bound) -> ContinuedFraction:
+    """The `ContinuedFraction` of a packed integer part and packed quotients.
 
-    Each distinct quotient becomes one `DensePoly`, split once and shared
-    by every place it occurs (over F2 nearly all are t or t + 1); sharing
-    is safe because nothing assigns to .coeffs after DensePoly.__init__,
-    so a DensePoly never changes.
+    Sharing one `DensePoly` per distinct quotient is safe: nothing assigns
+    to .coeffs after DensePoly.__init__, so a DensePoly never changes.
     """
     units, monics = {}, {}
     for q in set(packed):
         units[q], monics[q] = DensePoly(field, unpack_slots(q, w)).monic()
-    return tuple(map(units.__getitem__, packed)), tuple(map(monics.__getitem__, packed))
+    return ContinuedFraction(
+        field=field,
+        integer_part=DensePoly(field, unpack_slots(integer_part, w)),
+        quotients=tuple(map(monics.__getitem__, packed)),
+        units=tuple(map(units.__getitem__, packed)),
+        next_degree_bound=bound,
+    )
 
 
 def laurent_cf(s: CoeffSeq) -> ContinuedFraction:
     """Continued fraction of sum s_n t^{-n} from an origin-1 prefix."""
     if s.origin != 1:
         raise ValueError("expects an origin-1 sequence; use shift_index(1)")
-    fld = s.field
     n = len(s.terms)
     # a kept quotient has degree at most n/2: at most n//2 + 1 division steps
-    w, pack, divmod_, size = _ring(fld.p, n // 2 + 1, n + 1)
+    w, pack, divmod_, size = _ring(s.field.p, n // 2 + 1, n + 1)
     packed, bound = _euclid(1 << n * w, pack(s.terms[::-1]), n, divmod_, size)
-    units, monics = _monic_parts(fld, packed, w)
-    return ContinuedFraction(
-        field=fld,
-        integer_part=DensePoly.zero(fld),
-        quotients=monics,
-        units=units,
-        next_degree_bound=bound,
-    )
+    return _fraction(s.field, w, 0, packed, bound)
 
 
 def rational_cf(f: DensePoly, g: DensePoly) -> ContinuedFraction:
@@ -178,14 +175,7 @@ def rational_cf(f: DensePoly, g: DensePoly) -> ContinuedFraction:
     n = max(len(f.coeffs), len(g.coeffs))
     w, pack, divmod_, size = _ring(f.field.p, n, n)
     packed, _ = _euclid(pack(f.coeffs), pack(g.coeffs), None, divmod_, size)
-    units, monics = _monic_parts(f.field, packed[1:], w)
-    return ContinuedFraction(
-        field=f.field,
-        integer_part=DensePoly(f.field, unpack_slots(packed[0], w)),  # 0 if deg f < deg g
-        quotients=monics,
-        units=units,
-        next_degree_bound=None,
-    )
+    return _fraction(f.field, w, packed[0], packed[1:], None)  # packed[0]: the integer part
 
 
 def convergents(cf: ContinuedFraction, j_max: int | None = None) -> list:
@@ -293,17 +283,13 @@ def orthogonal_multiplicity(g: DensePoly) -> int:
     # f/g is proper, so its quotients are Euclid's on (g, f), as in
     # `rational_cf`: one ring and one packed g serve every f.  The quotient
     # degrees add up to deg g - deg gcd(f, g), so f is coprime to g with
-    # every quotient linear exactly when there are d quotients of size 2
+    # every quotient linear exactly when there are d quotients of size 2;
+    # f = 0 gives no quotient, so it is not counted
     _, pack, divmod_, size = _ring(fld.p, d + 1, d + 1)
     packed_g = pack(g.coeffs)
     count = 0
-    coeffs = [0] * d
-    for idx in range(1, fld.p ** d):
-        x = idx
-        for i in range(d):
-            coeffs[i] = x % fld.p
-            x //= fld.p
-        quotients, _ = _euclid(packed_g, pack(coeffs), None, divmod_, size)
+    for f in product(range(fld.p), repeat=d):
+        quotients, _ = _euclid(packed_g, pack(f), None, divmod_, size)
         if len(quotients) == d and all(size(q) == 2 for q in quotients):
             count += 1
     return count

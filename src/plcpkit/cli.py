@@ -280,8 +280,8 @@ def _cmd_om(args):
 
 
 def five_property_battery(s1: CoeffSeq) -> dict:
-    """The five equivalent characterizations, each computed by its own route."""
-    # faces 3 and 4 are one relation on the same stored terms: one check answers both
+    """The five equivalent characterizations, by four routes: faces 3 and 4
+    are one relation, so the two recurrence keys share one `recurrence_check`."""
     recurrence = recurrence_check(s1)
     return {
         "profile-perfect": is_plcp(lcp_profile(s1)),

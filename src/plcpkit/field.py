@@ -264,7 +264,10 @@ def unpack_bits(x: int, n: int) -> list:
 
 
 def unpack_slots(x: int, w: int) -> list:
-    """The w-bit slots of x up to its top nonzero one; inverts `pack_slots`."""
+    """The w-bit slots of x up to its top nonzero one; inverts `pack_slots`.
+
+    Each slot shifts the whole int: O(n^2 w/64) for n slots.  The
+    continued-fraction builder unpacks only quotients of a few slots."""
     mask = (1 << w) - 1
     return [x >> i & mask for i in range(0, x.bit_length(), w)]
 
@@ -321,7 +324,10 @@ def _ring(p: int, steps: int, slots: int):
     w bits from i*w, every slot in [0, p) between divisions: a division
     of at most `steps` steps on ints of at most `slots` slots takes w and
     its closing reduction from `_slots(p, steps, slots)`.  size(a) is
-    deg a + 1, 0 for zero.
+    deg a + 1, 0 for zero.  Each step adds to the whole dividend, so an
+    odd-p division is O(steps * len(dividend) * w/64).  A continued
+    fraction of N terms takes O(N) steps in all, O(N^2 w/64); no benchmark
+    workload divides a long dividend by a tiny divisor.
     """
     if p == 2:
         return 1, pack_bits, _divmod_packed, int.bit_length

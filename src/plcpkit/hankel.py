@@ -231,10 +231,10 @@ def first_even_hankel_order(c: CoeffSeq) -> int | None:
 
 def is_apwenian_hankel(c: CoeffSeq) -> bool:
     """Every computable H_n (n <= (N+1)//2) is odd, via the determinants."""
-    k = first_even_hankel_order(c)
-    if c.terms[0] != 1:
+    # a wrong field or origin is refused first, by `first_even_hankel_order`
+    if c.field.p == 2 and c.origin == 0 and c.terms[0] != 1:
         raise ValueError("requires leading term 1")
-    return k is None
+    return first_even_hankel_order(c) is None
 
 
 # the exponents e of the Mersenne primes 2^e - 1 that exact +-1 values are lifted from
@@ -250,6 +250,13 @@ def _lift_modulus(m: int) -> int | None:
     return next((p for e in _MERSENNE_EXPONENTS if (p := (1 << e) - 1) ** 2 > bound), None)
 
 
+def _pm1_modulus(max_order: int) -> int:
+    """`_lift_modulus(max_order)`, refusing an order past the table."""
+    if (p := _lift_modulus(max_order)) is None:
+        raise ValueError(f"max_order must be <= 6970 for exact values, got {max_order}")
+    return p
+
+
 def hankel_integer_pm1(entries, max_order: int) -> HankelReport:
     """Exact integer H_1..H_max_order for a +-1 entry list.
 
@@ -263,9 +270,7 @@ def hankel_integer_pm1(entries, max_order: int) -> HankelReport:
         if e not in (1, -1):
             raise ValueError(f"entries must be +-1: {e!r}")
     _check_order(max_order, len(ee))
-    p = _lift_modulus(max_order)
-    if p is None:
-        raise ValueError(f"max_order must be <= 6970 for exact values, got {max_order}")
+    p = _pm1_modulus(max_order)
     residues = [int(x) % p for x in ee[: 2 * max_order - 1]]
     values = tuple(v - p if 2 * v > p else v for v in _minors(residues, max_order, p))
     return HankelReport(modulus=None, values=values)
@@ -289,6 +294,8 @@ def apww_check(max_order: int) -> ApwwResult:
 
     The exact H_n are `hankel_integer_pm1`'s: the odd-p pass mod a Mersenne prime.
     """
+    if max_order >= 1:  # refuse an order past the table before building 2m - 1 entries
+        _pm1_modulus(max_order)
     entries = [1 - 2 * (i.bit_count() & 1) for i in range(2 * max_order - 1)]
     report = hankel_integer_pm1(entries, max_order)
     quotients = []

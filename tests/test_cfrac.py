@@ -418,6 +418,19 @@ def test_orthogonal_multiplicity_against_bruteforce(p, coeffs):
     assert orthogonal_multiplicity(g) == brute_om(g)
 
 
+def test_orthogonal_multiplicity_matches_bruteforce_on_every_small_monic_g():
+    # all 195 monic g of degree 1-6 over F2, 1-3 over F3 and 1-2 over F5
+    checked = 0
+    for p, max_degree in ((2, 6), (3, 3), (5, 2)):
+        field = PrimeField(p)
+        for d in range(1, max_degree + 1):
+            for low in itertools.product(range(p), repeat=d):
+                g = DensePoly(field, low + (1,))
+                assert orthogonal_multiplicity(g) == brute_om(g), g
+                checked += 1
+    assert checked == 195
+
+
 def test_orthogonal_multiplicity_rejects_bad_inputs():
     f3 = PrimeField(3)
     with pytest.raises(ValueError):

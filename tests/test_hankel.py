@@ -261,6 +261,26 @@ def test_pm1_past_the_table_raises_before_eliminating(monkeypatch):
     assert time.perf_counter() - start < 5
 
 
+def test_apww_past_the_table_raises_before_building_entries(monkeypatch):
+    def exact(entries, max_order):
+        raise AssertionError("built the entries past the table")
+
+    monkeypatch.setattr(hankel, "hankel_integer_pm1", exact)
+    with pytest.raises(ValueError) as info:
+        apww_check(6971)
+    assert str(info.value) == "max_order must be <= 6970 for exact values, got 6971"
+
+
+def test_apwenian_hankel_checks_the_leading_term_before_eliminating(monkeypatch):
+    def eliminate(terms, m, p):
+        raise AssertionError("eliminated a prefix with leading term 0")
+
+    monkeypatch.setattr(hankel, "_minors", eliminate)
+    with pytest.raises(ValueError) as info:
+        is_apwenian_hankel(CoeffSeq(GF2, [0, 1, 1, 0, 1], origin=0))
+    assert str(info.value) == "requires leading term 1"
+
+
 def test_pm1_input_validation():
     with pytest.raises(ValueError, match=r"\+-1"):
         hankel_integer_pm1([1, 0, 1], 2)
