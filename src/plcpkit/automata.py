@@ -16,7 +16,6 @@ answer beside the scan.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -71,7 +70,7 @@ class KernelClass:
     terms: tuple  # all known terms of the representative
 
     def prefix(self, tau: int) -> tuple:
-        return self.terms[: min(tau, len(self.terms))]
+        return self.terms[:tau]
 
 
 @dataclass
@@ -135,8 +134,7 @@ def kernel_explore(s: CoeffSeq, tau: int = 64, max_classes: int = 256) -> Kernel
     by_prefix: dict = {}
     edges: dict = {}
     unresolved: list = []
-    queue: deque = deque()
-    out_of_budget = False
+    reason = None
 
     def identify(terms):
         key = terms[:tau]
@@ -151,14 +149,11 @@ def kernel_explore(s: CoeffSeq, tau: int = 64, max_classes: int = 256) -> Kernel
         cls = KernelClass(len(classes), k, j, terms)
         classes.append(cls)
         by_prefix.setdefault(terms[:tau], []).append(cls.index)
-        queue.append(cls.index)
         return cls.index
 
     add_class(0, 0, tuple(s.terms))
-    while queue:
-        if out_of_budget:
-            break
-        cur = classes[queue.popleft()]
+    # classes grows while it is walked, so the walk is breadth-first
+    for cur in classes:
         for bit, op in ((0, "T0"), (1, "T1")):
             child_terms = cur.terms[bit::2]
             child_k = cur.k + 1
@@ -169,17 +164,15 @@ def kernel_explore(s: CoeffSeq, tau: int = 64, max_classes: int = 256) -> Kernel
             idx = identify(child_terms)
             if idx is None:
                 if len(classes) >= max_classes:
-                    out_of_budget = True
+                    reason = "max-classes"
                     break
                 idx = add_class(child_k, child_j, child_terms)
             edges[(cur.index, op)] = idx
+        if reason:
+            break
 
-    if out_of_budget:
-        reason = "max-classes"
-    elif unresolved:
+    if reason is None and unresolved:
         reason = "precision"
-    else:
-        reason = None
     return KernelReport(
         tau=tau,
         max_classes=max_classes,
@@ -380,9 +373,8 @@ def uniform_morphism_scan(k: int, n: int) -> list:
     if n < 256:
         raise ValueError("n must be >= 256 for a meaningful scan")
     found = []
-    for image1 in product((0, 1), repeat=k):
-        if image1[0] != 1:
-            continue
+    for tail in product((0, 1), repeat=k - 1):
+        image1 = (1,) + tail
         for image0 in product((0, 1), repeat=k):
             m = UniformMorphism(image0, image1)
             fp = morphism_fixed_point(m, n)

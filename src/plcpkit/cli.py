@@ -44,8 +44,10 @@ EXIT_DISAGREE = 2
 
 REPORT_FORMAT = 1
 
-_B_FAMILIES = ("phi1", "phi2", "phi3")
-_FAMILIES = ("rueppel1", "rueppel2") + _B_FAMILIES + tuple(_SPELLINGS)
+# families driven by a --b bit stream, and the two Rueppel sequences
+_B_FAMILIES = {"phi1": phi1_jacobi, "phi2": phi2_selector, "phi3": phi3_generalized_rueppel}
+_RUEPPEL = {"rueppel1": "first", "rueppel2": "second"}
+_FAMILIES = (*_RUEPPEL, *_B_FAMILIES, *_SPELLINGS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,18 +141,11 @@ def _generate(family, b_spec, length):
         if b_spec is None:
             raise _UsageError(f"family {family} requires --b")
         b = BitSource.parse(b_spec)
-        fn = {
-            "phi1": phi1_jacobi,
-            "phi2": phi2_selector,
-            "phi3": phi3_generalized_rueppel,
-        }[family]
-        return fn(b, length), b.spec()
+        return _B_FAMILIES[family](b, length), b.spec()
     if b_spec is not None:
         raise _UsageError(f"family {family} does not take --b")
-    if family == "rueppel1":
-        return rueppel("first", length), None
-    if family == "rueppel2":
-        return rueppel("second", length), None
+    if family in _RUEPPEL:
+        return rueppel(_RUEPPEL[family], length), None
     return named_sequence(family, length), None
 
 
@@ -174,23 +169,30 @@ def _cmd_gen(args):
 # --- analyze ---------------------------------------------------------------
 
 
+def _write_table(csv_path, header, rows, before, after=()):
+    """Rows as CSV under `header` to csv_path, or else as a tab-separated
+    table on stdout between the text lines `before` and `after`."""
+    if csv_path:
+        with open(csv_path, "w", newline="", encoding="ascii") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+    else:
+        line = "\t".join(["%s"] * len(header))
+        lines = [*before, *(line % row for row in rows), *after]
+        sys.stdout.write("\n".join(lines) + "\n")
+
+
 def _cmd_lcp(args):
     seq = read_sequence(args.infile).shift_index(1)
     profile = lcp_profile(seq)
     rows = [
-        (n, l, (n + 1) // 2, l == (n + 1) // 2)
+        (n, l, (n + 1) // 2, str(l == (n + 1) // 2).lower())
         for n, l in enumerate(profile.values, start=1)
     ]
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="ascii") as fh:
-            w = csv.writer(fh)
-            w.writerow(("n", "L", "ceil_half", "perfect"))
-            w.writerows((n, l, h, str(ok).lower()) for n, l, h, ok in rows)
-    else:
-        lines = ["n\tL\tceil(n/2)\tperfect"]
-        lines += [f"{n}\t{l}\t{h}\t{str(ok).lower()}" for n, l, h, ok in rows]
-        lines.append(f"perfect-profile: {str(is_plcp(profile)).lower()}")
-        sys.stdout.write("\n".join(lines) + "\n")
+    header = ("n", "L", "ceil_half", "perfect")
+    after = [f"perfect-profile: {str(is_plcp(profile)).lower()}"]
+    _write_table(args.csv, header, rows, ["n\tL\tceil(n/2)\tperfect"], after)
     return EXIT_OK
 
 
@@ -233,16 +235,9 @@ def _cmd_hankel(args):
         (n, v, ("true" if v % 2 else "false") if seq.field.p == 2 else "-")
         for n, v in enumerate(values, start=1)
     ]
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="ascii") as fh:
-            w = csv.writer(fh)
-            w.writerow(("n", "value", "odd"))
-            w.writerows(rows)
-    else:
-        label = "exact" if args.exact_pm1 else f"mod {seq.field.p}"
-        lines = [f"hankel determinants ({label}), orders 1..{args.max_order}", "n\tvalue\todd"]
-        lines += [f"{n}\t{v}\t{odd}" for n, v, odd in rows]
-        sys.stdout.write("\n".join(lines) + "\n")
+    label = "exact" if args.exact_pm1 else f"mod {seq.field.p}"
+    before = [f"hankel determinants ({label}), orders 1..{args.max_order}", "n\tvalue\todd"]
+    _write_table(args.csv, ("n", "value", "odd"), rows, before)
     return EXIT_OK
 
 

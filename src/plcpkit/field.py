@@ -377,6 +377,13 @@ def poly_gcd(a: DensePoly, b: DensePoly) -> DensePoly:
     return DensePoly(a.field, unpack_slots(x, w)).monic()[1]
 
 
+def _as_origin(origin) -> int:
+    # an int subclass is stored as its int, as PrimeField.validate does for terms
+    if not isinstance(origin, int) or origin not in (0, 1):
+        raise ValueError(f"origin must be 0 or 1: {origin!r}")
+    return int(origin)
+
+
 class CoeffSeq:
     """Finite sequence prefix over F_p with index origin 0 or 1.
 
@@ -387,8 +394,7 @@ class CoeffSeq:
     __slots__ = ("field", "terms", "origin")
 
     def __init__(self, field: PrimeField, terms, origin: int):
-        if origin not in (0, 1):
-            raise ValueError(f"origin must be 0 or 1: {origin!r}")
+        origin = _as_origin(origin)
         tt = field.validate(terms)
         if not tt:
             raise ValueError("empty sequence")
@@ -411,10 +417,9 @@ class CoeffSeq:
         The terms were validated when this sequence was built, so the new
         one shares the tuple without validating it again.
         """
+        origin = _as_origin(origin)
         if origin == self.origin:
             return self
-        if origin not in (0, 1):
-            raise ValueError(f"origin must be 0 or 1: {origin!r}")
         out = object.__new__(CoeffSeq)
         out.field, out.terms, out.origin = self.field, self.terms, origin
         return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from plcpkit.field import GF2, CoeffSeq, unpack_bits
+from plcpkit.field import GF2, CoeffSeq
 
 __all__ = [
     "BitSource",
@@ -226,13 +226,13 @@ def phi1_jacobi(b: BitSource, n: int) -> CoeffSeq:
     for bj in reversed(stream):
         num, den = den, den ^ (den << 1 if bj else 0) ^ (num << 2)
     # den has constant term 1, so each step fixes one coefficient
-    quotient = 0
-    for i in range(n):
+    terms = []
+    for _ in range(n):
+        terms.append(num & 1)
         if num & 1:
-            quotient |= 1 << i
             num ^= den
         num >>= 1
-    return CoeffSeq(GF2, unpack_bits(quotient, n), origin=0)
+    return CoeffSeq(GF2, terms, origin=0)
 
 
 # every accepted spelling and the sequence it names, in `gen --family` order

@@ -22,7 +22,12 @@ from plcpkit.automata import (
 )
 from plcpkit.field import GF2, CoeffSeq, PrimeField
 from plcpkit.lincomplex import is_plcp, lcp_profile, recurrence_check
-from plcpkit.seqgen import BitSource, morphism_fixed_point, named_sequence
+from plcpkit.seqgen import (
+    BitSource,
+    morphism_fixed_point,
+    named_sequence,
+    phi3_generalized_rueppel,
+)
 
 
 def test_decimate_splits_parity_classes():
@@ -79,6 +84,74 @@ def test_kernel_budget_and_precision_outcomes():
     assert capped.bound_hit and capped.bound_reason == "max-classes"
     assert capped.class_count() == 64
     assert "bound-hit: true (max-classes)" in capped.summary()
+
+
+def _walk(rep):
+    return (
+        [(c.index, c.k, c.j, len(c.terms)) for c in rep.classes],
+        rep.edges,
+        rep.unresolved,
+        rep.bound_reason,
+    )
+
+
+def _random_tree(count):
+    """The first `count` classes of a random 8192-term prefix at tau=64:
+    no two decimations agree, so the walk is the complete binary tree in
+    breadth-first order and depth k lists j in k-bit reversed order."""
+    rows = [[int(format(i, f"0{k}b")[::-1], 2) for i in range(2**k)] for k in range(8)]
+    assert rows[4] == [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15]
+    classes = [(k, j, 8192 >> k) for k, row in enumerate(rows) for j in row]
+    return [(i, *c) for i, c in enumerate(classes[:count])]
+
+
+def _tree_edges(count):
+    return {(i, op): 2 * i + 1 + bit for i in range(count) for bit, op in ((0, "T0"), (1, "T1"))}
+
+
+def test_kernel_walk_matches_recorded_classes_edges_and_stops():
+    # golden classes, edges, unresolved children and stop reason of four
+    # scans, so a change to the order of the walk or to where it stops shows
+    pd = kernel_explore(as_kernel_input(named_sequence("pd", 8192)), tau=64, max_classes=256)
+    assert _walk(pd) == (
+        [(0, 0, 0, 8192), (1, 1, 0, 4096), (2, 1, 1, 4096), (3, 2, 1, 2048)],
+        {(0, "T0"): 1, (0, "T1"): 2, (1, "T0"): 1, (1, "T1"): 1,
+         (2, "T0"): 3, (2, "T1"): 0, (3, "T0"): 3, (3, "T1"): 3},
+        [],
+        None,
+    )
+
+    phi3 = phi3_generalized_rueppel(BitSource.parse("periodic:1:001"), 4096)
+    rep = kernel_explore(as_kernel_input(phi3), tau=64)
+    assert _walk(rep) == (
+        [(0, 0, 0, 4097), (1, 1, 0, 2049), (2, 1, 1, 2048), (3, 2, 0, 1025), (4, 2, 2, 1024),
+         (5, 2, 1, 1024), (6, 2, 3, 1024), (7, 3, 0, 513), (8, 3, 2, 512), (9, 3, 1, 512)],
+        {(0, "T0"): 1, (0, "T1"): 2, (1, "T0"): 3, (1, "T1"): 4, (2, "T0"): 5,
+         (2, "T1"): 6, (3, "T0"): 7, (3, "T1"): 4, (4, "T0"): 8, (4, "T1"): 6,
+         (5, "T0"): 9, (5, "T1"): 7, (6, "T0"): 6, (6, "T1"): 7, (7, "T0"): 7,
+         (7, "T1"): 7, (8, "T0"): 3, (8, "T1"): 7, (9, "T0"): 6, (9, "T1"): 4},
+        [],
+        None,
+    )
+
+    rng = random.Random(123)
+    s = CoeffSeq(GF2, [rng.randrange(2) for _ in range(8192)], origin=0)
+    # precision stop: the 128 depth-7 classes have 64 terms, their children 32
+    tree = _random_tree(255)
+    unresolved = [
+        (i, op, 8, j + (bit << 7))
+        for i, _, j, _ in tree[127:]
+        for bit, op in ((0, "T0"), (1, "T1"))
+    ]
+    assert _walk(kernel_explore(s, tau=64, max_classes=256)) == (
+        tree, _tree_edges(127), unresolved, "precision"
+    )
+    # budget stop: class 31's T1 child would be class 64, so the walk ends there
+    edges = _tree_edges(32)
+    del edges[(31, "T1")]
+    assert _walk(kernel_explore(s, tau=64, max_classes=64)) == (
+        _random_tree(64), edges, [], "max-classes"
+    )
 
 
 def test_kernel_summary_counts_unresolved_children():
@@ -242,6 +315,13 @@ def test_morphism_scan_singles_out_period_doubling():
     assert str(found[0]) == "1->10, 0->11"
     fp = morphism_fixed_point(found[0], 256)
     assert fp.terms == named_sequence("pd", 256).terms
+
+
+def test_morphism_scan_for_lengths_three_and_four():
+    assert uniform_morphism_scan(3, 256) == []
+    found = uniform_morphism_scan(4, 256)
+    assert found == [UniformMorphism((1, 0, 1, 0), (1, 0, 1, 1))]
+    assert str(found[0]) == "1->1011, 0->1010"
 
 
 def test_morphism_scan_bounds():

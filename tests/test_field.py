@@ -233,6 +233,21 @@ class TestCoeffSeq:
             assert seq == CoeffSeq(field, [int(t) for t in terms], origin=1)
             assert loads_sequence(dumps_sequence(seq)) == seq
 
+    def test_origin_is_stored_as_a_plain_int(self):
+        # the header would read origin=True, which the loader refuses
+        s = CoeffSeq(GF2, [1, 0, 1], origin=True)
+        assert s.origin == 1 and type(s.origin) is int
+        assert s[1] == 1
+        assert loads_sequence(dumps_sequence(s)) == s
+        c = CoeffSeq(GF2, [1, 0, 1], origin=0).shift_index(True)
+        assert c == s and type(c.origin) is int
+        assert type(s.shift_index(False).origin) is int
+        for bad in (1.0, 0.0, "1", None):
+            with pytest.raises(ValueError, match=f"^origin must be 0 or 1: {bad!r}$"):
+                CoeffSeq(GF2, [1, 0, 1], origin=bad)
+            with pytest.raises(ValueError, match=f"^origin must be 0 or 1: {bad!r}$"):
+                s.shift_index(bad)
+
 
 def _low_terms(poly, n):
     return tuple(poly.coefficient(i) for i in range(n))
