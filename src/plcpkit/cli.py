@@ -23,7 +23,6 @@ from plcpkit.field import (
     PrimeField,
     dumps_sequence,
     read_sequence,
-    write_sequence,
 )
 from plcpkit.hankel import hankel_integer_pm1, hankel_mod_p, is_apwenian_hankel
 from plcpkit.lincomplex import is_plcp, lcp_profile, recurrence_check
@@ -159,9 +158,7 @@ def _cmd_gen(args):
     invocation += f" --length {args.length}"
     if args.out:
         invocation += f" --out {args.out}"
-        write_sequence(seq, args.out)
-    else:
-        sys.stdout.write(dumps_sequence(seq))
+    _write_text(args.out or None, dumps_sequence(seq))
     print(invocation, file=sys.stderr)
     return EXIT_OK
 
@@ -266,8 +263,9 @@ def _cmd_om(args):
         raise _UsageError(f"--g wants comma-separated ints: {args.g!r}") from None
     field = PrimeField(args.field)
     g = DensePoly(field, coeffs)
+    om = orthogonal_multiplicity(g)  # refuses a bad g before anything is printed
     print(f"g = {g.to_string()} over F{field.p}")
-    print(f"orthogonal-multiplicity: {orthogonal_multiplicity(g)}")
+    print(f"orthogonal-multiplicity: {om}")
     return EXIT_OK
 
 

@@ -43,10 +43,11 @@ it replaced, kept in `tests/hankel_oracle.py`: a column-pivoted
 elimination of each order on its own, which they check against a
 Leibniz expansion, over F2 a per-order packed elimination and the
 ungrouped pass, for odd p the pass on lists of residues, and for +-1
-entries per-order Bareiss.  The exact
-integers of a +-1 prefix are the odd-p pass mod one Mersenne prime P,
-each lifted to (-P/2, P/2): Hadamard's bound |H_k| <= k^(k/2) grows
-with k, so P^2 > 4 m^m makes every lift, k <= m, exact.
+entries per-order Bareiss and the lift from one Mersenne prime.  The
+exact integers of a +-1 prefix are the odd-p pass mod a few 127-bit
+primes, joined by the Chinese remainder theorem (Garner, 1959) and
+lifted to (-M/2, M/2), M their product: by Hadamard's bound
+|H_k| <= k^(k/2), M^2 > 4 m^m makes every value, k <= m, exact.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ def _mod_p_values(rows, p: int, m: int, w: int, reduce):
     grows by more than (p-1)^2 per pivot.  Slots are reduced mod p only
     where they are read: the new row's free columns, to find its pivot
     column, and its pivot row, in one `reduce`.  O(m^2) Python steps for
-    orders 1..m, each on an m*w-bit int; mod the Mersenne prime 2^e - 1
-    of `hankel_integer_pm1`, w is about 2e.
+    orders 1..m, each on an m*w-bit int; mod the 127-bit primes of
+    `hankel_integer_pm1`, w is about 260.
     """
     rows = iter(rows)
     pivots = []  # (slot of the pivot column, inverse of its entry, row), sorted by slot
@@ -237,46 +238,50 @@ def is_apwenian_hankel(c: CoeffSeq) -> bool:
     return first_even_hankel_order(c) is None
 
 
-# the exponents e of the Mersenne primes 2^e - 1 that exact +-1 values are lifted from
-_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
-                       9689, 9941, 11213, 19937, 21701, 23209, 44497)
+_PROTH = []  # the primes of `_proth_primes` found so far, in order
 
 
-def _lift_modulus(m: int) -> int | None:
-    """The least P = 2^e - 1 of the table with P^2 > 4 m^m, or None past it."""
-    if m * (m.bit_length() - 1) >= 2 * _MERSENNE_EXPONENTS[-1]:
-        return None  # m^m >= 2^(m (bit_length - 1)) is past every P^2: skip the power
-    bound = 4 * m**m
-    return next((p for e in _MERSENNE_EXPONENTS if (p := (1 << e) - 1) ** 2 > bound), None)
+def _proth_primes(count: int) -> list:
+    """The first `count` primes N = k*2^64 + 1, k odd, counting down from k = 2^63 - 1.
 
-
-def _pm1_modulus(max_order: int) -> int:
-    """`_lift_modulus(max_order)`, refusing an order past the table."""
-    if (p := _lift_modulus(max_order)) is None:
-        raise ValueError(f"max_order must be <= 6970 for exact values, got {max_order}")
-    return p
+    Each is in (2^126, 2^127).  a^((N-1)/2) = -1 mod N for one of six
+    bases a proves N prime, as k < 2^64 (Proth, 1878); a prime at which
+    all six are squares is skipped.  A base-2 Fermat test first rejects
+    most composites.  Found once per process.
+    """
+    k = (_PROTH[-1] >> 64) - 2 if _PROTH else (1 << 63) - 1
+    while len(_PROTH) < count:
+        n = k << 64 | 1
+        if pow(2, n - 1, n) == 1 and any(pow(a, n >> 1, n) == n - 1 for a in (3, 5, 7, 11, 13, 17)):
+            _PROTH.append(n)
+        k -= 2
+    return _PROTH[:count]
 
 
 def hankel_integer_pm1(entries, max_order: int) -> HankelReport:
     """Exact integer H_1..H_max_order for a +-1 entry list.
 
-    The odd-p pass of `_minors` on the first 2m - 1 entries mod
-    P = `_lift_modulus(max_order)`, each value lifted to the symmetric
-    range (see the module docstring): O(m^2) Python steps on rows of m
-    slots of about 2e bits for P = 2^e - 1; e = 44497 covers m <= 6970.
-    That limit is the lift's, not what can finish: m pivot rows of m*w
-    bits, w about 2e, take O(m^2 e) bits and O(m^3 e/64) time.  m = 64,
-    128, 256 took 0.05 s / 0.6 MiB, 0.29 s / 2.4 MiB, 8.6 s / 22 MiB on
-    Thue-Morse (Python 3.11, one Xeon core), so m = 6970 needs hundreds of GB.
+    The odd-p pass of `_minors` on the first 2m - 1 entries mod each of
+    the first c = ceil(bit_length(4 m^m) / 252) primes of `_proth_primes`
+    (1 for m <= 45, 2 to 79, 4 at 128, 9 at 256), joined by Garner's CRT
+    step and lifted (see the module docstring).  A pass keeps m rows of m
+    slots of about 260 bits and costs O(m^3) word operations; c grows as
+    m log(m), so the whole is O(m^4 log m) time in O(m^2) words, with no
+    order limit.  m = 64, 128, 256 took 0.016 s / 0.18 MiB, 0.17 s /
+    0.64 MiB, 2.2 s / 2.4 MiB on Thue-Morse (Python 3.11.7, one core).
     """
     ee = list(entries)
     for e in ee:
         if e not in (1, -1):
             raise ValueError(f"entries must be +-1: {e!r}")
     _check_order(max_order, len(ee))
-    p = _pm1_modulus(max_order)
-    residues = [int(x) % p for x in ee[: 2 * max_order - 1]]
-    values = tuple(v - p if 2 * v > p else v for v in _minors(residues, max_order, p))
+    m, values, modulus = max_order, [0] * max_order, 1
+    for p in _proth_primes(-(-(4 * m**m).bit_length() // 252)):  # M^2 > 2^(252c) > 4 m^m
+        minors = _minors([int(e) % p for e in ee[: 2 * m - 1]], m, p)
+        inv = pow(modulus, -1, p)
+        values = [v + modulus * ((h - v) * inv % p) for v, h in zip(values, minors)]
+        modulus *= p
+    values = tuple(v - modulus if 2 * v > modulus else v for v in values)
     return HankelReport(modulus=None, values=values)
 
 
@@ -294,12 +299,7 @@ class ApwwResult:
 
 
 def apww_check(max_order: int) -> ApwwResult:
-    """H_n of ((-1)^(weight of n)) is 2^(n-1) times an odd integer.
-
-    The exact H_n are `hankel_integer_pm1`'s: the odd-p pass mod a Mersenne prime.
-    """
-    if max_order >= 1:  # refuse an order past the table before building 2m - 1 entries
-        _pm1_modulus(max_order)
+    """H_n of ((-1)^(weight of n)) is 2^(n-1) times an odd integer (`hankel_integer_pm1`)."""
     entries = [1 - 2 * (i.bit_count() & 1) for i in range(2 * max_order - 1)]
     report = hankel_integer_pm1(entries, max_order)
     quotients = []

@@ -14,6 +14,14 @@ so no order depends on the pivots of another:
   `hankel_integer_pm1` took for +-1 entries before the pass mod a
   Mersenne prime replaced it.
 
+`lifted_pm1_values` is the route `hankel_integer_pm1` took next, before
+the pass mod several 127-bit primes joined by the Chinese remainder
+theorem replaced it: the incremental odd-p pass `_minors` run once mod
+the least Mersenne prime P = 2^e - 1 of a table (`_lift_modulus`) with
+P^2 > 4 m^m, each value lifted to (-P/2, P/2).  Its slots are about 2e
+bits wide, so its cost jumps wherever e does, and the table ends at
+m = 6970.
+
 `one_pass_parities` is the one incremental F2 elimination as it stood
 before its pivots were grouped into Four-Russians tables: it reduces a
 row by one pivot at a time, O(m^2/2) Python steps for orders 1..m.
@@ -27,6 +35,7 @@ operations for orders 1..m.
 from bisect import bisect, insort
 
 from plcpkit.field import CoeffSeq, PrimeField, pack_bits
+from plcpkit.hankel import _minors
 
 
 def order_parity(bits, n):
@@ -95,8 +104,9 @@ def list_mod_p_values(rows, p: int):
 
     See the module docstring.  A pivot row is kept from its pivot column
     on, scaled to a leading 1, so a reduction needs no inverse; its
-    original leading entry goes into the running product.  It also runs
-    mod a Mersenne prime for `hankel_integer_pm1`.
+    original leading entry goes into the running product.  It is exact
+    mod any prime, the 127-bit primes of `hankel_integer_pm1` and the
+    Mersenne primes of `lifted_pm1_values` included.
     """
     rows = iter(rows)
     pivots = []  # (pivot column, scaled row from that column on), sorted by column
@@ -188,3 +198,25 @@ def bareiss_det(rows) -> int:
 def bareiss_values(entries, m) -> tuple:
     """Exact H_1..H_m of an integer entry list, each order by `bareiss_det`."""
     return tuple(bareiss_det([entries[i : i + n] for i in range(n)]) for n in range(1, m + 1))
+
+
+# the exponents e of the Mersenne primes 2^e - 1 that exact +-1 values are lifted from
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+                       9689, 9941, 11213, 19937, 21701, 23209, 44497)
+
+
+def _lift_modulus(m: int) -> int | None:
+    """The least P = 2^e - 1 of the table with P^2 > 4 m^m, or None past it."""
+    if m * (m.bit_length() - 1) >= 2 * _MERSENNE_EXPONENTS[-1]:
+        return None  # m^m >= 2^(m (bit_length - 1)) is past every P^2: skip the power
+    bound = 4 * m**m
+    return next((p for e in _MERSENNE_EXPONENTS if (p := (1 << e) - 1) ** 2 > bound), None)
+
+
+def lifted_pm1_values(entries, m) -> tuple:
+    """Exact H_1..H_m of a +-1 entry list, lifted from the pass mod `_lift_modulus(m)`."""
+    p = _lift_modulus(m)
+    if p is None:
+        raise ValueError(f"m must be <= 6970 for the lift, got {m}")
+    residues = [int(x) % p for x in entries[: 2 * m - 1]]
+    return tuple(v - p if 2 * v > p else v for v in _minors(residues, m, p))

@@ -367,6 +367,20 @@ def test_om_subcommand(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--g", "0,0"], "g must have degree >= 1"),
+        (["--g", "1,2"], "g must have degree >= 1"),  # 2 = 0 over F2
+        (["--g", "1,2", "--field", "3"], "g must be monic"),
+    ],
+    ids=["zero", "degree-0-over-F2", "not-monic"],
+)
+def test_om_refuses_before_printing(capsys, argv, message):
+    rc, out, err = run(capsys, "analyze", "om", *argv)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_verify_phi2_trials_unanimous(capsys):
     rc, out, err = run(
         capsys, "verify", "--source", "phi2-random", "--trials", "2",

@@ -5,21 +5,25 @@ read one incremental elimination; the per-order eliminations of
 `hankel_oracle` (column pivoting over every field, over F2
 `hankel_parities`, and for exact +-1 values `bareiss_values`) are its
 oracles here; so are, over F2, `one_pass_parities`, the pass as it was
-before its pivots were grouped into tables, and for odd p
+before its pivots were grouped into tables, for odd p
 `list_mod_p_values`, the pass as it was before its rows were packed
-into integer slots.
+into integer slots, and for exact +-1 values `lifted_pm1_values`, the
+pass mod one Mersenne prime before the Chinese remainder theorem
+over 127-bit primes replaced it.
 """
 
 import itertools
 import random
-import time
 
 import pytest
 from hankel_oracle import (
+    _MERSENNE_EXPONENTS,
+    _lift_modulus,
     bareiss_values,
     det_mod_p,
     hankel_by_columns,
     hankel_parities,
+    lifted_pm1_values,
     list_mod_p_values,
     one_pass_parities,
     order_parity,
@@ -30,13 +34,12 @@ from hypothesis import strategies as st
 from plcpkit.field import CoeffSeq, PrimeField, _slots, pack_bits, pack_slots, unpack_bits
 from plcpkit import hankel
 from plcpkit.hankel import (
-    _MERSENNE_EXPONENTS,
     ApwwResult,
     HankelReport,
     _f2_parities,
     _group_table,
-    _lift_modulus,
     _mod_p_values,
+    _proth_primes,
     apww_check,
     first_even_hankel_order,
     hankel_integer_pm1,
@@ -197,7 +200,7 @@ def test_pm1_exhaustive_against_bareiss():
 
 
 def test_pm1_random_prefixes_against_bareiss():
-    # lengths up to 81 (m = 41, modulus 2^107 - 1 or 2^127 - 1); a periodic
+    # lengths up to 81 (m = 41, one 127-bit prime); a periodic
     # prefix stops the rank growing, so its later orders are all 0
     rng = random.Random(10)
     zeros = 0
@@ -249,26 +252,67 @@ def test_lift_modulus_is_the_least_mersenne_prime_above_twice_hadamard():
     assert _lift_modulus(10**6) is None  # refused without the 20-million-bit power
 
 
-def test_pm1_past_the_table_raises_before_eliminating(monkeypatch):
-    def eliminate(rows, p, m, w, reduce):
-        raise AssertionError("eliminated past the table")
-
-    monkeypatch.setattr(hankel, "_mod_p_values", eliminate)
-    entries = [1, -1] * 6970 + [1]  # 13,941 terms, enough for order 6,971
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="max_order"):
-        hankel_integer_pm1(entries, 6971)
-    assert time.perf_counter() - start < 5
+def thue_morse_pm1(length):
+    return [1 - 2 * (i.bit_count() & 1) for i in range(length)]
 
 
-def test_apww_past_the_table_raises_before_building_entries(monkeypatch):
-    def exact(entries, max_order):
-        raise AssertionError("built the entries past the table")
+@pytest.mark.parametrize(
+    "entries, top",
+    [
+        (thue_morse_pm1(255), 128),
+        (random.Random(64).choices((1, -1), k=127), 64),
+        (random.Random(65).choices((1, -1), k=127), 64),
+    ],
+    ids=["thue-morse-128", "random-64-seed-64", "random-64-seed-65"],
+)
+def test_crt_equals_the_mersenne_lift(entries, top):
+    # one call at the top order reads every lower order; order 45 is the
+    # last with one prime, so it is also checked as a call of its own
+    values = hankel_integer_pm1(entries, top).values
+    assert values == lifted_pm1_values(entries, top)
+    assert hankel_integer_pm1(entries, 45).values == values[:45]
 
-    monkeypatch.setattr(hankel, "hankel_integer_pm1", exact)
-    with pytest.raises(ValueError) as info:
-        apww_check(6971)
-    assert str(info.value) == "max_order must be <= 6970 for exact values, got 6971"
+
+def _is_strong_probable_prime(n, rng):
+    # Miller-Rabin to 20 random bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for _ in range(20):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_proth_primes_are_the_first_six_below_the_top():
+    expected = [(((1 << 63) - c) << 64) + 1 for c in (13, 31, 85, 107, 125, 155)]
+    assert _proth_primes(6) == expected
+    assert _proth_primes(2) == expected[:2]
+    rng = random.Random(127)
+    assert all(_is_strong_probable_prime(p, rng) for p in expected)
+    assert all(1 << 126 < p < 1 << 127 for p in expected)
+
+
+@pytest.mark.parametrize("m, passes", [(1, 1), (40, 1), (45, 1), (46, 2)])
+def test_pm1_passes_one_prime_each(monkeypatch, m, passes):
+    calls = []
+    real = hankel._minors
+
+    def counted(terms, order, p):
+        calls.append(p)
+        return real(terms, order, p)
+
+    monkeypatch.setattr(hankel, "_minors", counted)
+    entries = thue_morse_pm1(2 * m - 1)
+    assert hankel_integer_pm1(entries, m).values == lifted_pm1_values(entries, m)
+    assert calls == _proth_primes(passes)
 
 
 def test_apwenian_hankel_checks_the_leading_term_before_eliminating(monkeypatch):
@@ -302,7 +346,6 @@ def test_mod_p_input_validation():
 
 
 F2_THREE = CoeffSeq(GF2, [1, 0, 1], origin=0)
-TOO_LONG = [1, -1] * 6970 + [1]  # 13,941 terms, enough for order 6,971
 
 
 @pytest.mark.parametrize(
@@ -328,11 +371,7 @@ TOO_LONG = [1, -1] * 6970 + [1]  # 13,941 terms, enough for order 6,971
         (lambda: hankel_integer_pm1([1, -1, 1], 0), "max_order must be >= 1"),
         (lambda: hankel_integer_pm1([1, -1, 1], 3), "insufficient terms: order 3 needs 5, have 3"),
         (
-            lambda: hankel_integer_pm1(TOO_LONG, 6971),
-            "max_order must be <= 6970 for exact values, got 6971",
-        ),
-        (
-            # the terms are checked before the table of lift moduli
+            # the terms are checked before any pass
             lambda: hankel_integer_pm1([1, -1, 1], 6971),
             "insufficient terms: order 6971 needs 13941, have 3",
         ),
@@ -350,7 +389,6 @@ TOO_LONG = [1, -1] * 6970 + [1]  # 13,941 terms, enough for order 6,971
         "pm1-entry-0",
         "pm1-order-0",
         "pm1-too-few-terms",
-        "pm1-past-the-table",
         "pm1-past-the-table-too-few-terms",
         "apww-order-0",
         "apww-order-negative",
@@ -564,12 +602,12 @@ def test_slots_are_wide_enough_for_the_largest_residues():
         assert values == list(list_mod_p_values(rows, p))
         assert 0 not in values
     # the largest residues as Hankel entries (rank 1): 65520 over F65521,
-    # and -1 lifted from 2^521 - 1, the modulus from order 46 on
+    # and -1 mod 2^521 - 1, the lift's modulus from order 46 on, and as +-1
+    # entries at order 46, the first with two primes
     c = CoeffSeq(PrimeField(65521), [65520] * 255, origin=0)
     oracle = tuple(list_mod_p_values([[65520] * 128] * 128, 65521))
     assert hankel_mod_p(c, 128).values == oracle == (65520,) + (0,) * 127
     p = (1 << 521) - 1
-    assert _lift_modulus(46) == p
     assert list(list_mod_p_values([[p - 1] * 46] * 46, p)) == [p - 1] + [0] * 45
     assert hankel_integer_pm1([-1] * 91, 46).values == (-1,) + (0,) * 45
 
