@@ -17,6 +17,7 @@ from plcpkit import __version__, backend_name
 from plcpkit.automata import as_kernel_input, kernel_explore
 from plcpkit.cfrac import has_flat_expansion, laurent_cf, orthogonal_multiplicity
 from plcpkit.field import (
+    _RESIDUE,
     GF2,
     CoeffSeq,
     DensePoly,
@@ -257,12 +258,11 @@ def _cmd_kernel(args):
 
 
 def _cmd_om(args):
-    try:
-        coeffs = [int(x) for x in args.g.split(",")]
-    except ValueError:
-        raise _UsageError(f"--g wants comma-separated ints: {args.g!r}") from None
+    words = [x.strip() for x in args.g.split(",")]
+    if not all(map(_RESIDUE.fullmatch, words)):
+        raise _UsageError(f"--g wants comma-separated ints: {args.g!r}")
     field = PrimeField(args.field)
-    g = DensePoly(field, coeffs)
+    g = DensePoly(field, map(int, words))
     om = orthogonal_multiplicity(g)  # refuses a bad g before anything is printed
     print(f"g = {g.to_string()} over F{field.p}")
     print(f"orthogonal-multiplicity: {om}")
@@ -297,6 +297,8 @@ def _verify_sequences(args):
             raise _UsageError("verify requires a sequence with leading term 1")
         yield args.infile, s1
         return
+    if args.infile:
+        raise _UsageError("--in is only read with --source file")
     if args.length < 8:
         raise _UsageError("--length must be >= 8")
     if args.trials < 1:

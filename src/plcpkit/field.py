@@ -2,8 +2,10 @@
 
 Residues are plain ints in [0, p); the containers validate on
 construction, so a value never leaves the range.  `DensePoly` stores
-coefficients ascending by degree with no trailing zeros, and `CoeffSeq`
-is a finite sequence prefix with an explicit index origin (0 or 1).
+coefficients ascending by degree with no trailing zeros: it takes any
+int, reduced mod p in its constructor and nowhere else, and refuses
+anything else.  `CoeffSeq` is a finite sequence prefix with an explicit
+index origin (0 or 1): a term must already be an int in [0, p).
 The F2 fast paths use ints as bit vectors; `pack_bits` and
 `unpack_bits` convert between those and 0/1 lists.  The odd-p fast
 paths put one residue in each w-bit slot of an int (`pack_slots`,
@@ -110,6 +112,9 @@ class DensePoly:
 
     def __init__(self, field: PrimeField, coeffs=()):
         cs = [c % field.p for c in coeffs]
+        for c in cs:  # a float or a Fraction survives % p
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be ints: {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -124,10 +129,10 @@ class DensePoly:
         return cls(field, (1,))
 
     @classmethod
-    def monomial(cls, field, degree, coeff=1):
+    def monomial(cls, field, degree):
         if degree < 0:
             raise ValueError("negative degree")
-        return cls(field, (0,) * degree + (coeff,))
+        return cls(field, (0,) * degree + (1,))
 
     @property
     def degree(self):
@@ -151,18 +156,16 @@ class DensePoly:
 
     def __add__(self, other):
         _check_same_field(self, other)
-        p = self.field.p
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
+            out[i] += c
         return DensePoly(self.field, out)
 
     def __neg__(self):
-        p = self.field.p
-        return DensePoly(self.field, [-c % p for c in self.coeffs])
+        return DensePoly(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -173,13 +176,12 @@ class DensePoly:
         _check_same_field(self, other)
         if self.is_zero or other.is_zero:
             return DensePoly.zero(self.field)
-        p = self.field.p
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
+                    out[i + j] += ai * bj
         return DensePoly(self.field, out)
 
     __rmul__ = __mul__
@@ -213,7 +215,7 @@ class DensePoly:
     def __hash__(self):
         return hash((self.field.p, self.coeffs))
 
-    def to_string(self, var="t"):
+    def to_string(self):
         if self.is_zero:
             return "0"
         parts = []
@@ -225,7 +227,7 @@ class DensePoly:
                 parts.append(str(c))
             else:
                 head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}{var}" if i == 1 else f"{head}{var}^{i}")
+                parts.append(f"{head}t" if i == 1 else f"{head}t^{i}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -462,6 +464,7 @@ class SequenceFormatError(ValueError):
 
 _HEADER_RE = re.compile(r"^#\s*field=(\d+)\s+origin=([01])\s+length=(\d+)\s*$")
 _NOT_A_BIT = re.compile(r"[^01]")
+_RESIDUE = re.compile(r"-?[0-9]+")  # int() would also take "1_0", "+2" and non-ASCII digits
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -521,12 +524,9 @@ def loads_sequence(text: str) -> CoeffSeq:
         for tok in re.finditer(r"\S+", ln):
             col = tok.start() + 1
             word = tok.group()
-            try:
-                v = int(word, 10)
-            except ValueError:
-                raise SequenceFormatError(
-                    f"bad residue {word!r}", i + 1, col
-                ) from None
+            if not _RESIDUE.fullmatch(word):
+                raise SequenceFormatError(f"bad residue {word!r}", i + 1, col)
+            v = int(word)
             if not 0 <= v < field.p:
                 raise SequenceFormatError(
                     f"residue {v} out of range for field={field.p}", i + 1, col

@@ -15,26 +15,19 @@ pivot column; otherwise H_k = 0.  Once a row reduces to zero, the rows
 so far are dependent and every later order is 0.
 
 Over F2 the rows are packed ints and only the parity is kept
-(`_f2_parities`, O(m^3/64) bit operations); `first_even_hankel_order`
-stops it at the first even order.  Its pivots are grouped by the method
-of Four Russians (Arlazarov, Dinic, Kronrod and Faradzev): once the
-pivot columns cover an aligned group of six, in any order, the group's
-pivots become one table of their 64 sums, built by doubling (each pivot
-appends the sums so far plus itself), and one lookup clears all six
-columns of a row.  A row has only one reduced form, since one sum of
-the pivots clears every pivot column, so the grouping changes no reduced
-row, pivot or parity.  It cuts the Python steps of orders 1..m from
-about m^2/2 to about m^2/12, for m/6 tables of 64 rows.  For odd p
-(`_mod_p_values`) the pivot rows are kept unscaled with the inverse of
-their leading entry, and the sign as a running inversion count.  Each
-row is one int with a slot of w bits per column, as in Kronecker
-substitution: a slot starts below p and grows by at most (p-1)^2 per
-pivot, so w and the Barrett reduction of a new pivot row come from
-`field._slots`, the layout of the odd-p division too.  Reducing a row
-by a pivot is one multiply-add of m*w-bit ints, and the pass takes
-O(m^2) Python steps for orders 1..m.  Rows are cut once, in `_minors`:
-it packs the prefix, a bit or a w-bit slot a term, cuts row k from it
-at term k, and hands its layout, w and `reduce`, to `_mod_p_values`.
+(`_f2_parities`, O(m^3/64) bit operations, its pivots grouped six at a
+time by the method of Four Russians); `first_even_hankel_order` stops it
+at the first even order.  For odd p (`_mod_p_values`) the pivot rows are
+kept unscaled with the inverse of their leading entry, and the sign as a
+running inversion count.  Each row is one int with a slot of w bits per
+column, as in Kronecker substitution: a slot starts below p and grows by
+at most (p-1)^2 per pivot, so w and the Barrett reduction of a new pivot
+row come from `field._slots`, the layout of the odd-p division too.
+Reducing a row by a pivot is one multiply-add of m*w-bit ints, and the
+pass takes O(m^2) Python steps for orders 1..m.  Rows are cut once, in
+`_minors`: it packs the prefix, a bit or a w-bit slot a term, cuts row k
+from it at term k, and hands its layout, w and `reduce`, to
+`_mod_p_values`.
 
 The pass uses only the Hankel entries, so this route stays independent
 of the profile, the recurrences and the continued fraction.  It is the
@@ -110,12 +103,13 @@ def _f2_parities(rows):
     reduced by steps (shift, mask, table) in increasing shift, each
     `row ^= table[row >> shift & mask]`.  A lone pivot with lowest bit c
     is the step (c, 1, (0, pivot)).  Once the pivot columns cover a group
-    g..g+5 (g a multiple of `_GROUP`), its six steps become one step
-    whose table holds all 64 sums of its pivots.  Only one sum of those
-    pivots clears the six columns, so each reduced row is the one the
-    pivot-by-pivot pass gives (`one_pass_parities` in the tests).  Still
-    O(m^3/64) bit operations, in about m^2/12 Python steps instead of
-    m^2/2; the m/6 tables hold 64 rows each.
+    g..g+5 (g a multiple of `_GROUP`), in any order, its six steps
+    become one step whose table holds all 64 sums of its pivots: the
+    method of Four Russians (Arlazarov, Dinic, Kronrod and Faradzev).
+    Only one sum of those pivots clears the six columns, so each reduced
+    row is the one the pivot-by-pivot pass gives (`one_pass_parities` in
+    the tests).  Still O(m^3/64) bit operations, in about m^2/12 Python
+    steps instead of m^2/2; the m/6 tables hold 64 rows each.
     """
     rows = iter(rows)
     steps = []  # (shift, mask, table), sorted by shift

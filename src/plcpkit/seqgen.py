@@ -44,6 +44,22 @@ def _splitmix64_words(seed, count):
     return [_splitmix64(seed + k * _GOLDEN) for k in range(1, count + 1)]
 
 
+def _bits(value) -> tuple:
+    """A "0101" string or an iterable of 0/1 ints as a tuple of plain ints;
+    a bool becomes its int, and anything else (1.0 too) is refused."""
+    if isinstance(value, str):
+        value = [int(c) if c in "01" else c for c in value]
+    out = tuple(value)
+    for v in out:
+        if not isinstance(v, int) or v not in (0, 1):
+            raise ValueError(f"bit source values must be bits: {v!r}")
+    return tuple(map(int, out))
+
+
+def _text(bits) -> str:
+    return "".join(map(str, bits))
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Per-trial seed: word 0 of the stream seeded with seed XOR (index+1)*golden."""
     return _splitmix64((seed ^ ((index + 1) * _GOLDEN)) + _GOLDEN)
@@ -53,43 +69,30 @@ class BitSource:
     """Deterministic bit stream: literal, eventually periodic, or seeded.
 
     Spec strings: ``literal:1011``, ``periodic:<pre>:<per>`` (either part
-    may be empty, the period may not), ``random:<seed>``.
+    may be empty, the period may not), ``random:<seed>``.  Bits, given as
+    a "1011" string or as 0/1 ints, are stored as tuples of plain ints.
     """
 
     __slots__ = ("kind", "bits", "preperiod", "period", "seed")
 
     def __init__(self, kind, bits=(), preperiod=(), period=(), seed=0):
-        self.kind = kind
-        self.bits = tuple(bits)
-        self.preperiod = tuple(preperiod)
-        self.period = tuple(period)
         self.seed = seed & _M64
         if kind not in ("literal", "periodic", "random"):
             raise ValueError(f"unknown bit source kind: {kind!r}")
+        self.kind = kind
+        self.period = _bits(period)
         if kind == "periodic" and not self.period:
             raise ValueError("periodic bit source needs a nonempty period")
-        for b in self.bits + self.preperiod + self.period:
-            if b not in (0, 1):
-                raise ValueError(f"bit source values must be bits: {b!r}")
-
-    @staticmethod
-    def _as_bits(value):
-        # accept "1011" as well as any iterable of 0/1 ints
-        if isinstance(value, str):
-            return tuple(int(c) for c in value)
-        return tuple(value)
+        self.bits = _bits(bits)
+        self.preperiod = _bits(preperiod)
 
     @classmethod
     def literal(cls, bits):
-        return cls("literal", bits=cls._as_bits(bits))
+        return cls("literal", bits=bits)
 
     @classmethod
     def periodic(cls, preperiod, period):
-        return cls(
-            "periodic",
-            preperiod=cls._as_bits(preperiod),
-            period=cls._as_bits(period),
-        )
+        return cls("periodic", preperiod=preperiod, period=period)
 
     @classmethod
     def seeded(cls, seed):
@@ -101,14 +104,14 @@ class BitSource:
         if kind == "literal":
             if not rest or set(rest) - set("01"):
                 raise ValueError(f"bad literal bit string: {rest!r}")
-            return cls.literal(int(c) for c in rest)
+            return cls.literal(rest)
         if kind == "periodic":
             pre, sep, per = rest.partition(":")
             if not sep:
                 raise ValueError("periodic spec is periodic:<pre>:<per>")
             if set(pre) - set("01") or set(per) - set("01") or not per:
                 raise ValueError(f"bad periodic bit strings: {rest!r}")
-            return cls.periodic((int(c) for c in pre), (int(c) for c in per))
+            return cls.periodic(pre, per)
         if kind == "random":
             try:
                 return cls.seeded(int(rest, 10))
@@ -119,14 +122,9 @@ class BitSource:
     def spec(self) -> str:
         """Canonical round-trippable spec string."""
         if self.kind == "literal":
-            return "literal:" + "".join(map(str, self.bits))
+            return "literal:" + _text(self.bits)
         if self.kind == "periodic":
-            return (
-                "periodic:"
-                + "".join(map(str, self.preperiod))
-                + ":"
-                + "".join(map(str, self.period))
-            )
+            return f"periodic:{_text(self.preperiod)}:{_text(self.period)}"
         return f"random:{self.seed}"
 
     def bit(self, i: int) -> int:
@@ -286,12 +284,14 @@ class UniformMorphism:
 
     def __post_init__(self):
         i0, i1 = tuple(self.image0), tuple(self.image1)
-        object.__setattr__(self, "image0", i0)
-        object.__setattr__(self, "image1", i1)
         if len(i0) != len(i1) or len(i0) < 2:
             raise ValueError("images must share one length >= 2")
-        if not (set(i0) <= {0, 1} and set(i1) <= {0, 1}):
-            raise ValueError("images must be over {0, 1}")
+        try:
+            i0, i1 = _bits(i0), _bits(i1)
+        except ValueError:
+            raise ValueError("images must be over {0, 1}") from None
+        object.__setattr__(self, "image0", i0)
+        object.__setattr__(self, "image1", i1)
 
     @property
     def prolongable(self):
@@ -299,9 +299,7 @@ class UniformMorphism:
         return self.image1[0] == 1
 
     def __str__(self):
-        one = "".join(map(str, self.image1))
-        zero = "".join(map(str, self.image0))
-        return f"1->{one}, 0->{zero}"
+        return f"1->{_text(self.image1)}, 0->{_text(self.image0)}"
 
 
 def morphism_fixed_point(m: UniformMorphism, n: int) -> CoeffSeq:

@@ -3,9 +3,13 @@
 import csv
 import importlib
 import json
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 from hankel_oracle import bareiss_values, hankel_by_columns, hankel_parities
@@ -36,6 +40,16 @@ def test_version_smoke(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "plcpkit" in capsys.readouterr().out
+
+
+def test_module_runs_as_a_script():
+    # runs cli's `if __name__ == "__main__":` line, which main(argv) never reaches
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "plcpkit.cli", "--version"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "plcpkit 0.1.0\n", "")
 
 
 def test_every_export_resolves():
@@ -373,12 +387,22 @@ def test_om_subcommand(capsys):
         (["--g", "0,0"], "g must have degree >= 1"),
         (["--g", "1,2"], "g must have degree >= 1"),  # 2 = 0 over F2
         (["--g", "1,2", "--field", "3"], "g must be monic"),
+        # int() would take each of these three
+        (["--g", "1_0,1", "--field", "13"], "--g wants comma-separated ints: '1_0,1'"),
+        (["--g", "+1,1", "--field", "13"], "--g wants comma-separated ints: '+1,1'"),
+        (["--g", "1,\u0661", "--field", "13"], "--g wants comma-separated ints: '1,\u0661'"),
     ],
-    ids=["zero", "degree-0-over-F2", "not-monic"],
+    ids=["zero", "degree-0-over-F2", "not-monic", "underscore", "plus-sign", "non-ascii-digit"],
 )
 def test_om_refuses_before_printing(capsys, argv, message):
     rc, out, err = run(capsys, "analyze", "om", *argv)
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("g, printed", [(" 1 , 1 ", "t + 1"), ("-1,1", "t + 12")], ids=["spaces", "negative"])
+def test_om_takes_spaces_and_negative_coefficients(capsys, g, printed):
+    rc, out, err = run(capsys, "analyze", "om", f"--g={g}", "--field", "13")
+    assert rc == 0 and out.startswith(f"g = {printed} over F13\n")
 
 
 def test_verify_phi2_trials_unanimous(capsys):
@@ -448,6 +472,13 @@ def test_verify_usage_errors(capsys, tmp_path):
     path.write_text("# field=3 origin=1 length=4\n1 2 0 1\n")
     rc, out, err = run(capsys, "verify", "--source", "file", "--in", str(path))
     assert (rc, out, err) == (1, "", "error: verify is defined over field=2 inputs\n")
+
+
+def test_verify_refuses_in_without_a_file_source(capsys):
+    rc, out, err = run(
+        capsys, "verify", "--source", "phi2-random", "--length", "16", "--in", "missing.seq"
+    )
+    assert (rc, out, err) == (1, "", "error: --in is only read with --source file\n")
 
 
 def test_verify_report_file(capsys, tmp_path):

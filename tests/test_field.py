@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from cf_oracle import dense_divmod, dense_gcd, series_inverse
@@ -182,6 +183,20 @@ def test_monic_splits_unit():
     assert DensePoly(f, [unit]) * monic == poly
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(1, 2)], ids=["float", "whole-float", "fraction"])
+def test_poly_coefficients_are_plain_ints(p, bad):
+    # a float or a Fraction survives % p, so the constructor refuses it
+    with pytest.raises(ValueError) as e:
+        DensePoly(PrimeField(p), [1, bad])
+    assert str(e.value) == f"coefficients must be ints: {bad % p!r}"
+    # a bool is an int: it is reduced to a plain int like any other
+    poly = DensePoly(PrimeField(p), [True, 0, 3, False, 1])
+    assert poly.coeffs == (1, 0, 3 % p, 0, 1)
+    assert [type(c) for c in poly.coeffs] == [int] * 5
+    assert DensePoly(GF2, [True, 0, 3]).coeffs == (1, 0, 1)
+
+
 def test_poly_to_string():
     f = PrimeField(3)
     assert DensePoly(f, [2, 0, 1]).to_string() == "t^2 + 2"
@@ -339,8 +354,16 @@ def test_parse_errors_carry_position():
         ("# field=3 origin=0 length=2\nbits=10\n", "bits= form is only valid for field=2", 2, 1),
         ("# field=3 origin=0 length=2\n1 x\n", "bad residue 'x'", 2, 3),
         ("# field=2 origin=0 length=4\n  bits=10a1\n", "bad bit 'a'", 2, 10),
+        # int() would take each of these three residues
+        ("# field=13 origin=0 length=3\n1_0 2 3\n", "bad residue '1_0'", 2, 1),
+        ("# field=13 origin=0 length=3\n1 +2 3\n", "bad residue '+2'", 2, 3),
+        ("# field=13 origin=0 length=3\n1 2 \u0661\n", "bad residue '\u0661'", 2, 5),
+        ("# field=13 origin=0 length=3\n1 -1 3\n", "residue -1 out of range for field=13", 2, 3),
     ],
-    ids=["empty", "composite-field", "zero-length", "bits-odd-field", "bad-residue", "bad-bit"],
+    ids=[
+        "empty", "composite-field", "zero-length", "bits-odd-field", "bad-residue", "bad-bit",
+        "underscore-residue", "plus-sign-residue", "non-ascii-residue", "negative-residue",
+    ],
 )
 def test_parse_errors_name_message_line_and_column(text, message, line, column):
     with pytest.raises(SequenceFormatError) as e:

@@ -278,6 +278,17 @@ class TestUniformMorphism:
         with pytest.raises(ValueError):
             UniformMorphism(image1=(1,), image0=(0,))  # k must be >= 2
 
+    @pytest.mark.parametrize(
+        "image0, image1",
+        [((True, 1), (1, False)), ((1, True), (True, 0)), ([1, 1], iter([1, 0]))],
+        ids=["bools", "more-bools", "list-and-iterator"],
+    )
+    def test_images_are_plain_ints(self, image0, image1):
+        m = UniformMorphism(image0, image1)
+        assert str(m) == "1->10, 0->11"
+        assert (m.image0, m.image1) == ((1, 1), (1, 0))
+        assert [type(v) for v in m.image0 + m.image1] == [int] * 4
+
     def test_fixed_point_needs_prolongable_image(self):
         m = UniformMorphism(image1=(0, 1), image0=(1, 1))
         with pytest.raises(ValueError):
@@ -308,6 +319,26 @@ def test_generators_are_pure(bits, n):
     assert isinstance(a, CoeffSeq) and a.field is GF2
 
 
+@pytest.mark.parametrize(
+    "make, spec",
+    [
+        (lambda: BitSource.literal([True, False, True]), "literal:101"),
+        (lambda: BitSource.literal("101"), "literal:101"),
+        (lambda: BitSource.periodic([True], (False, True)), "periodic:1:01"),
+        (lambda: BitSource.periodic("", iter([False, True])), "periodic::01"),
+    ],
+    ids=["literal-bools", "literal-string", "periodic-bools", "periodic-iterator"],
+)
+def test_bit_sources_store_plain_ints(make, spec):
+    b = make()
+    assert b.spec() == spec
+    back = BitSource.parse(spec)
+    assert back.spec() == spec
+    assert (back.bits, back.preperiod, back.period) == (b.bits, b.preperiod, b.period)
+    stored = b.bits + b.preperiod + b.period
+    assert [type(v) for v in stored] == [int] * len(stored)
+
+
 _SOURCE = BitSource.periodic("", "1")
 
 
@@ -317,6 +348,10 @@ _SOURCE = BitSource.periodic("", "1")
         (lambda: BitSource("bogus"), ValueError, "unknown bit source kind: 'bogus'"),
         (lambda: BitSource("periodic"), ValueError, "periodic bit source needs a nonempty period"),
         (lambda: BitSource("literal", bits=(1, 2)), ValueError, "bit source values must be bits: 2"),
+        (lambda: BitSource.periodic([1.0], [0, 1]), ValueError, "bit source values must be bits: 1.0"),
+        (lambda: BitSource.literal("10a"), ValueError, "bit source values must be bits: 'a'"),
+        (lambda: UniformMorphism((1.0, 1), (1, 0)), ValueError, "images must be over {0, 1}"),
+        (lambda: UniformMorphism((1, 1), ("1", "0")), ValueError, "images must be over {0, 1}"),
         (lambda: _SOURCE.bit(-1), IndexError, "negative bit index"),
         (lambda: phi3_generalized_rueppel(_SOURCE, 0), ValueError, "length must be >= 1"),
         (lambda: phi2_selector(_SOURCE, 0), ValueError, "length must be >= 1"),
@@ -332,6 +367,10 @@ _SOURCE = BitSource.periodic("", "1")
         "unknown-kind",
         "empty-period",
         "not-a-bit",
+        "float-bit",
+        "letter-bit",
+        "float-image",
+        "string-image",
         "negative-index",
         "phi3-length",
         "phi2-length",
