@@ -40,6 +40,7 @@ from plcpkit.lincomplex import (
     BerlekampMassey,
     LCProfile,
     expected_lc,
+    first_imperfect_length,
     is_plcp,
     lcp_profile,
     recurrence_check,

@@ -26,7 +26,7 @@ from plcpkit.field import (
     read_sequence,
 )
 from plcpkit.hankel import hankel_integer_pm1, hankel_mod_p, is_apwenian_hankel
-from plcpkit.lincomplex import is_plcp, lcp_profile, recurrence_check
+from plcpkit.lincomplex import first_imperfect_length, is_plcp, lcp_profile, recurrence_check
 from plcpkit.seqgen import (
     _SPELLINGS,
     BitSource,
@@ -274,10 +274,14 @@ def _cmd_om(args):
 
 def five_property_battery(s1: CoeffSeq) -> dict:
     """The five equivalent characterizations, by four routes: faces 3 and 4
-    are one relation, so the two recurrence keys share one `recurrence_check`."""
+    are one relation, so the two recurrence keys share one `recurrence_check`.
+
+    The profile and Hankel faces stop at their first failure
+    (`first_imperfect_length`, `first_even_hankel_order`); the continued
+    fraction reads the whole prefix."""
     recurrence = recurrence_check(s1)
     return {
-        "profile-perfect": is_plcp(lcp_profile(s1)),
+        "profile-perfect": first_imperfect_length(s1) is None,
         "cf-flat": has_flat_expansion(laurent_cf(s1), len(s1)),
         "shift-recurrence": recurrence,
         "apwenian-recurrence": recurrence,

@@ -462,7 +462,8 @@ class SequenceFormatError(ValueError):
         self.column = column
 
 
-_HEADER_RE = re.compile(r"^#\s*field=(\d+)\s+origin=([01])\s+length=(\d+)\s*$")
+# re.ASCII: \d would otherwise take any Unicode decimal digit, as int() does
+_HEADER_RE = re.compile(r"^#\s*field=(\d+)\s+origin=([01])\s+length=(\d+)\s*$", re.ASCII)
 _NOT_A_BIT = re.compile(r"[^01]")
 _RESIDUE = re.compile(r"-?[0-9]+")  # int() would also take "1_0", "+2" and non-ASCII digits
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")

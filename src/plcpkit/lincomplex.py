@@ -2,12 +2,15 @@
 
 L(n) is the length of the shortest linear recurrence generating the
 first n terms; the zero prefix has L = 0 and a sequence with no shorter
-relation has L = n.  Profiles are produced incrementally by one
-algorithm, Berlekamp-Massey: `BerlekampMassey` over any F_p, updating
+relation has L = n.  Profiles are produced lazily, one L(n) per term, by
+one algorithm, Berlekamp-Massey: `BerlekampMassey` over any F_p, updating
 its connection polynomial in place (one copy per length change, none
 per discrepancy), and over F2 the same synthesis on packed ints
-(`_f2_profile`).  The tests check it against a direct search over the
-definition (`tests/lc_oracle.py`), which never sees the incremental
+(`_f2_profile`).  `lcp_profile` reads every length;
+`first_imperfect_length` stops at the first n with L(n) != ceil(n/2),
+as `first_even_hankel_order` stops the Hankel elimination at its first
+even order.  The tests check the synthesis against a direct search over
+the definition (`tests/lc_oracle.py`), which never sees the incremental
 state.  `expected_lc` gives the exact mean of L(n) over F2 from the
 count law, not by running the profile.
 """
@@ -23,6 +26,7 @@ __all__ = [
     "LCProfile",
     "BerlekampMassey",
     "lcp_profile",
+    "first_imperfect_length",
     "is_plcp",
     "recurrence_check",
     "expected_lc",
@@ -121,8 +125,8 @@ class BerlekampMassey:
 
 
 def _f2_profile(bits):
-    """L(1..N) of a 0/1 list: `BerlekampMassey` over F2 on packed ints."""
-    prof = []
+    """L(1), L(2), ... of a 0/1 sequence, yielded one n at a time:
+    `BerlekampMassey` over F2 on packed ints."""
     c = 1  # connection polynomial, bit i = coeff of x^i, c(0) = 1
     b = 1  # previous connection polynomial
     l = 0
@@ -140,18 +144,38 @@ def _f2_profile(bits):
                 m += 1
         else:
             m += 1
-        prof.append(l)
-    return prof
+        yield l
+
+
+def _lengths(s: CoeffSeq):
+    """L(1), L(2), ... of an origin-1 sequence, one per term as it is read."""
+    if s.origin != 1:
+        raise ValueError("profile expects an origin-1 sequence; use shift_index(1)")
+    if s.field.p == 2:
+        return _f2_profile(s.terms)
+    return map(BerlekampMassey(s.field).push, s.terms)
 
 
 def lcp_profile(s: CoeffSeq) -> LCProfile:
     """Profile L(1..N) of an origin-1 sequence."""
-    if s.origin != 1:
-        raise ValueError("profile expects an origin-1 sequence; use shift_index(1)")
-    if s.field.p == 2:
-        return LCProfile(s.field, tuple(_f2_profile(s.terms)))
-    bm = BerlekampMassey(s.field)
-    return LCProfile(s.field, tuple(bm.push(t) for t in s.terms))
+    return LCProfile(s.field, tuple(_lengths(s)))
+
+
+def first_imperfect_length(s: CoeffSeq) -> int | None:
+    """Least n with L(n) != ceil(n/2), or None if the profile is perfect.
+
+    This is the profile witness of an imperfect prefix; the failure is
+    always at an odd n = 2k - 1, with k the first zero Hankel order.
+    Berlekamp-Massey runs only until that n.  The lengths read before it
+    are ceil(j/2), which obey `LCProfile`'s jump law; at the failure the
+    lengths read are built into an `LCProfile`, so a length that breaks
+    the law raises its `ValueError`.
+    """
+    for n, l in enumerate(_lengths(s), start=1):
+        if l != (n + 1) // 2:
+            LCProfile(s.field, [(j + 1) // 2 for j in range(1, n)] + [l])
+            return n
+    return None
 
 
 def is_plcp(profile: LCProfile) -> bool:

@@ -9,14 +9,14 @@ from the Berlekamp-Massey synthesis behind both:
   coefficients (`_has_recurrence`), over any F_p; it never sees an
   incremental state;
 - `expected_lc_exhaustive(n)`: the mean of L(n) over all 2^n binary
-  sequences, by running the packed F2 profile on each of them, the
+  sequences, by running `lcp_profile` on each of them, the
   enumeration that the count law in `expected_lc` replaced.
 """
 
 from fractions import Fraction
 
-from plcpkit.field import CoeffSeq
-from plcpkit.lincomplex import _f2_profile
+from plcpkit.field import GF2, CoeffSeq
+from plcpkit.lincomplex import lcp_profile
 
 
 def _has_recurrence(terms, k, field):
@@ -82,5 +82,5 @@ def expected_lc_exhaustive(n: int) -> Fraction:
     total = 0
     for x in range(1 << n):
         bits = [(x >> i) & 1 for i in range(n)]
-        total += _f2_profile(bits)[-1]
+        total += lcp_profile(CoeffSeq(GF2, bits, origin=1)).values[-1]
     return Fraction(total, 1 << n)

@@ -26,6 +26,7 @@ from plcpkit.field import (
     write_sequence,
 )
 from plcpkit.hankel import hankel_mod_p
+from plcpkit.lincomplex import is_plcp, lcp_profile
 from plcpkit.seqgen import BitSource, phi2_selector, rueppel
 
 
@@ -68,13 +69,14 @@ _TOP_LEVEL = {
     "BerlekampMassey", "BitSource", "CoeffSeq", "ContinuedFraction", "DensePoly", "GF2",
     "LCProfile", "PrimeField", "UniformMorphism", "apww_check", "as_kernel_input",
     "backend_name", "build_from_u", "convergents", "decimate", "eventually_periodic",
-    "expected_lc", "first_even_hankel_order", "hankel_integer_pm1", "hankel_mod_p",
-    "has_flat_expansion", "is_apwenian_hankel", "is_plcp", "kernel_explore", "klx_check",
-    "laurent_cf", "lcp_profile", "max_pq_degree", "morphism_fixed_point", "named_sequence",
-    "orthogonal_multiplicity", "phi1_jacobi", "phi2_selector", "phi3_generalized_rueppel",
-    "phi3_kernel_counts", "phi3_kernel_size", "poly_divmod", "poly_gcd", "profile_from_cf",
-    "rational_cf", "read_sequence", "recurrence_check", "rueppel", "uniform_morphism_scan",
-    "uv_decompose", "write_sequence",
+    "expected_lc", "first_even_hankel_order", "first_imperfect_length",
+    "hankel_integer_pm1", "hankel_mod_p", "has_flat_expansion", "is_apwenian_hankel",
+    "is_plcp", "kernel_explore", "klx_check", "laurent_cf", "lcp_profile", "max_pq_degree",
+    "morphism_fixed_point", "named_sequence", "orthogonal_multiplicity", "phi1_jacobi",
+    "phi2_selector", "phi3_generalized_rueppel", "phi3_kernel_counts", "phi3_kernel_size",
+    "poly_divmod", "poly_gcd", "profile_from_cf", "rational_cf", "read_sequence",
+    "recurrence_check", "rueppel", "uniform_morphism_scan", "uv_decompose",
+    "write_sequence",
 }
 
 
@@ -492,6 +494,23 @@ def test_verify_report_file(capsys, tmp_path):
     assert text.startswith("plcpkit-report-version: 1\n")
     assert "\nbackend: pure-python\n" in text
     assert "verdict: ok" in text
+
+
+@pytest.mark.parametrize("length", [8, 9, 64, 511])
+@pytest.mark.parametrize("source", ["phi2-random", "random-unconstrained"])
+def test_battery_profile_vote_equals_the_full_profile(source, length):
+    # the battery stops the profile at its first failure; the whole
+    # profile stays the oracle for that vote
+    argv = ["verify", "--source", source, "--trials", "24", "--length", str(length), "--seed", "7"]
+    votes = set()
+    for label, s1 in cli._verify_sequences(cli._build_parser().parse_args(argv)):
+        vote = cli.five_property_battery(s1)["profile-perfect"]
+        assert vote == is_plcp(lcp_profile(s1)), label
+        votes.add(vote)
+    if source == "phi2-random":
+        assert votes == {True}
+    elif length < 64:
+        assert votes == {True, False}  # short random prefixes are sometimes perfect
 
 
 def test_verify_disagreement_exit_code(capsys, monkeypatch):

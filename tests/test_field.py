@@ -359,10 +359,18 @@ def test_parse_errors_carry_position():
         ("# field=13 origin=0 length=3\n1 +2 3\n", "bad residue '+2'", 2, 3),
         ("# field=13 origin=0 length=3\n1 2 \u0661\n", "bad residue '\u0661'", 2, 5),
         ("# field=13 origin=0 length=3\n1 -1 3\n", "residue -1 out of range for field=13", 2, 3),
+        # Arabic-Indic digits in the header: field and length are ASCII numbers only
+        (
+            "# field=\u0663 origin=0 length=\u0663\n1 0 1\n",
+            "malformed header, expected '# field=<p> origin=<0|1> length=<N>'",
+            1,
+            1,
+        ),
     ],
     ids=[
         "empty", "composite-field", "zero-length", "bits-odd-field", "bad-residue", "bad-bit",
         "underscore-residue", "plus-sign-residue", "non-ascii-residue", "negative-residue",
+        "non-ascii-header",
     ],
 )
 def test_parse_errors_name_message_line_and_column(text, message, line, column):

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 from lc_oracle import expected_lc_exhaustive, lc_bruteforce
 
+from plcpkit import lincomplex
 from plcpkit.cfrac import laurent_cf, profile_from_cf
 from plcpkit.field import GF2, CoeffSeq, PrimeField
+from plcpkit.hankel import first_even_hankel_order, hankel_mod_p
 from plcpkit.lincomplex import (
     BerlekampMassey,
     LCProfile,
     expected_lc,
+    first_imperfect_length,
     is_plcp,
     lcp_profile,
     recurrence_check,
@@ -163,6 +166,83 @@ def test_is_plcp():
     assert not is_plcp(LCProfile(GF2, (1, 1, 1)))  # stalled below ceil(n/2)
 
 
+def _first_off_half(values):
+    # the least n with L(n) != ceil(n/2), read off a whole profile
+    return next((n for n, l in enumerate(values, start=1) if l != (n + 1) // 2), None)
+
+
+def _hankel_length(values):
+    # 2k - 1 for the first zero H_k, the length at which the profile fails
+    k = next((k for k, v in enumerate(values, start=1) if v == 0), None)
+    return None if k is None else 2 * k - 1
+
+
+def test_first_imperfect_length_exhaustive_f2():
+    # every prefix with s_1 = 1 up to length 14: the full profile and the
+    # Hankel witness name the same length
+    for n in range(1, 15):
+        for m in range(1 << (n - 1)):
+            bits = [1] + [(m >> i) & 1 for i in range(n - 1)]
+            s = CoeffSeq(GF2, bits, origin=1)
+            first = first_imperfect_length(s)
+            assert first == _first_off_half(lcp_profile(s).values), bits
+            k = first_even_hankel_order(s.shift_index(0))
+            assert first == (None if k is None else 2 * k - 1), bits
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_first_imperfect_length_odd_p(p):
+    rng = random.Random(p)
+    f = PrimeField(p)
+    seen = set()
+    for trial in range(60):
+        n = rng.choice([1, 2, 7, 12, 40, 101])
+        # a nonzero s_1 and few zeros, so some prefixes stay perfect for a while
+        terms = [rng.randrange(1, p) if rng.random() < 0.9 else 0 for _ in range(n)]
+        s = CoeffSeq(f, terms, origin=1)
+        first = first_imperfect_length(s)
+        seen.add(first is None)
+        values = hankel_mod_p(s.shift_index(0), (n + 1) // 2).values
+        assert first == _hankel_length(values), terms
+        if n <= 12:
+            assert first == _first_off_half([lc_bruteforce(s, j) for j in range(1, n + 1)])
+    assert seen == {True, False}
+
+
+def _counted(lengths, read):
+    for l in lengths:
+        read.append(l)
+        yield l
+
+
+def test_first_imperfect_length_stops_at_the_failure(monkeypatch):
+    read = []
+    f2_profile = lincomplex._f2_profile
+    monkeypatch.setattr(lincomplex, "_f2_profile", lambda bits: _counted(f2_profile(bits), read))
+    # L stays 1 on the all-ones sequence, so ceil(n/2) is first missed at n = 3
+    assert first_imperfect_length(CoeffSeq(GF2, [1] * 64, origin=1)) == 3
+    assert read == [1, 1, 1]
+    read.clear()
+    assert first_imperfect_length(CoeffSeq(GF2, [1, 1, 0, 1, 0, 0, 0, 1], origin=1)) is None
+    assert read == [1, 1, 2, 2, 3, 3, 4, 4]
+
+
+@pytest.mark.parametrize("bad", [(1, 1, 3), (1, 0), (2,)], ids=["jump", "decrease", "range"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_first_imperfect_length_keeps_the_jump_law(monkeypatch, p, bad):
+    # a broken synthesis is refused with LCProfile's own error
+    with pytest.raises(ValueError) as built:
+        LCProfile(PrimeField(p), bad)
+    if p == 2:
+        monkeypatch.setattr(lincomplex, "_f2_profile", lambda bits: iter(bad))
+    else:
+        lengths = iter(bad)
+        monkeypatch.setattr(lincomplex.BerlekampMassey, "push", lambda self, t: next(lengths))
+    with pytest.raises(ValueError) as read:
+        first_imperfect_length(CoeffSeq(PrimeField(p), [1] * 8, origin=1))
+    assert str(read.value) == str(built.value)
+
+
 def test_lcp_profile_requires_origin_one():
     with pytest.raises(ValueError):
         lcp_profile(CoeffSeq(GF2, [1, 0], origin=0))
@@ -248,11 +328,19 @@ def test_expected_lc_bound_guard():
             ValueError,
             "expects an origin-1 sequence; use shift_index(1)",
         ),
+        (
+            lambda: first_imperfect_length(CoeffSeq(GF2, [1, 0], origin=0)),
+            ValueError,
+            "profile expects an origin-1 sequence; use shift_index(1)",
+        ),
         (lambda: expected_lc_exhaustive(0), ValueError, "n must be >= 1"),
         (lambda: expected_lc(0), ValueError, "n must be >= 1"),
         (lambda: expected_lc(-1), ValueError, "n must be >= 1"),
     ],
-    ids=["bruteforce-origin", "exhaustive-n-0", "expected-n-0", "expected-n-negative"],
+    ids=[
+        "bruteforce-origin", "first-imperfect-origin", "exhaustive-n-0", "expected-n-0",
+        "expected-n-negative",
+    ],
 )
 def test_lincomplex_calls_reject_bad_arguments(call, error, message):
     with pytest.raises(error) as info:
