@@ -195,7 +195,7 @@ def test_first_imperfect_length_odd_p(p):
     rng = random.Random(p)
     f = PrimeField(p)
     seen = set()
-    for trial in range(60):
+    for _ in range(60):
         n = rng.choice([1, 2, 7, 12, 40, 101])
         # a nonzero s_1 and few zeros, so some prefixes stay perfect for a while
         terms = [rng.randrange(1, p) if rng.random() < 0.9 else 0 for _ in range(n)]
