@@ -26,13 +26,17 @@ gives the slot-wise Barrett reduction (CRYPTO '86) that puts every slot
 back in [0, p) after each division, in two multiplies, so the
 remainder can be read again.  One builder, `_fraction`, makes every
 `ContinuedFraction`: monic quotients with their units (over F2 all 1),
-one `DensePoly` per distinct packed quotient, split once and shared by
-every place it occurs (over F2 nearly all are t or t + 1).
+one `DensePoly` per distinct packed quotient, shared by every place it
+occurs (over F2 nearly all are t or t + 1).  `_split` makes that
+`DensePoly` and its unit once per process, not once per expansion: a
+table of at most 1,024 entries (`functools.lru_cache`), keyed by field,
+slot width and packed quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from operator import mul
 
@@ -136,15 +140,23 @@ def _euclid(num, den, n: int | None, divmod_, size):
     return quotients, None if n is None else n - 2 * total + 1
 
 
-def _fraction(field: PrimeField, w: int, integer_part, packed, bound) -> ContinuedFraction:
-    """The `ContinuedFraction` of a packed integer part and packed quotients.
+@lru_cache(maxsize=1024)
+def _split(field: PrimeField, w: int, q: int):
+    """(unit, monic) of the quotient packed as q in w-bit slots over field.
 
-    Sharing one `DensePoly` per distinct quotient is safe: nothing assigns
-    to .coeffs after DensePoly.__init__, so a DensePoly never changes.
+    One bounded table per process, shared by every expansion: sharing is
+    safe because a `DensePoly` and its field are immutable.  The key holds
+    the field and w, so equal ints of two fields or widths stay apart.
     """
+    return DensePoly(field, unpack_slots(q, w)).monic()
+
+
+def _fraction(field: PrimeField, w: int, integer_part, packed, bound) -> ContinuedFraction:
+    """The `ContinuedFraction` of a packed integer part and packed quotients,
+    each distinct quotient split once by `_split`."""
     units, monics = {}, {}
     for q in set(packed):
-        units[q], monics[q] = DensePoly(field, unpack_slots(q, w)).monic()
+        units[q], monics[q] = _split(field, w, q)
     return ContinuedFraction(
         field=field,
         integer_part=DensePoly(field, unpack_slots(integer_part, w)),

@@ -4,11 +4,14 @@ Residues are plain ints in [0, p); the containers validate on
 construction, so a value never leaves the range.  `DensePoly` stores
 coefficients ascending by degree with no trailing zeros: it takes any
 int, reduced mod p in its constructor and nowhere else, and refuses
-anything else.  `CoeffSeq` is a finite sequence prefix with an explicit
-index origin (0 or 1): a term must already be an int in [0, p).
+anything else.  A `PrimeField` and a `DensePoly` are immutable, so one
+can be shared by every caller in the process, as `cfrac`'s table of
+split quotients does.  `CoeffSeq` is a finite sequence prefix with an
+explicit index origin (0 or 1): a term must already be an int in [0, p).
 The F2 fast paths use ints as bit vectors; `pack_bits` and
-`unpack_bits` convert between those and 0/1 lists.  The odd-p fast
-paths put one residue in each w-bit slot of an int (`pack_slots`,
+`unpack_bits` convert between those and 0/1 lists by a byte
+translation and int(..., 2) or format(), with no Python step per bit.
+The odd-p fast paths put one residue in each w-bit slot of an int (`pack_slots`,
 `unpack_slots`), with w and a slot-wise Barrett reduction from
 `_slots`: the one slot layout of the odd-p Hankel pass and of `_ring`.
 `_ring` divides polynomials packed either way: it is the package's one
@@ -60,7 +63,14 @@ class PrimeField:
             raise ValueError(f"field modulus must be an int in [2, 2^16): {p!r}")
         if not _is_prime(p):
             raise ValueError(f"field modulus is not prime: {p}")
-        self.p = p
+        object.__setattr__(self, "p", p)
+
+    # immutable: a field is part of the key of `cfrac`'s quotient table
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PrimeField is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PrimeField is immutable: cannot delete {name!r}")
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -117,8 +127,15 @@ class DensePoly:
                 raise ValueError(f"coefficients must be ints: {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    # immutable: `cfrac` hands one DensePoly to every expansion in the process
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DensePoly is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DensePoly is immutable: cannot delete {name!r}")
 
     @classmethod
     def zero(cls, field):
@@ -234,11 +251,20 @@ class DensePoly:
         return f"DensePoly(F{self.field.p}, {self.to_string()})"
 
 
+# byte translations between a bit value and its digit: b"0", b"1" -> 0, 1,
+# and 0 -> b"0" with any other byte value -> b"1"
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_DIGITS = b"0" + b"1" * 255
+
+
 def pack_bits(bits) -> int:
-    """A 0/1 list as an int, bit i = bits[i] (over F2, the coefficient of x^i)."""
+    """A 0/1 list as an int, bit i = bits[i] (over F2, the coefficient of x^i).
+
+    The bits as bytes, reversed, translated to digits and read by
+    int(..., 2): no Python step per bit."""
     if not bits:
         return 0
-    return int("".join("1" if b else "0" for b in reversed(bits)), 2)
+    return int(bytes(bits)[::-1].translate(_BIT_DIGITS), 2)
 
 
 def pack_slots(values, w: int) -> int:
@@ -261,8 +287,7 @@ def unpack_bits(x: int, n: int) -> list:
     """Bits 0..n-1 of x as a 0/1 list; the inverse of `pack_bits`."""
     if n <= 0:
         return []
-    s = format(x & ((1 << n) - 1), f"0{n}b")
-    return [1 if c == "1" else 0 for c in reversed(s)]
+    return list(format(x & ((1 << n) - 1), f"0{n}b")[::-1].encode().translate(_BIT_VALUES))
 
 
 def unpack_slots(x: int, w: int) -> list:
@@ -466,7 +491,6 @@ class SequenceFormatError(ValueError):
 _HEADER_RE = re.compile(r"^#\s*field=(\d+)\s+origin=([01])\s+length=(\d+)\s*$", re.ASCII)
 _NOT_A_BIT = re.compile(r"[^01]")
 _RESIDUE = re.compile(r"-?[0-9]+")  # int() would also take "1_0", "+2" and non-ASCII digits
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def loads_sequence(text: str) -> CoeffSeq:

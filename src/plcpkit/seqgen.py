@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from plcpkit.field import GF2, CoeffSeq
+from plcpkit.field import GF2, CoeffSeq, pack_slots, unpack_bits
 
 __all__ = [
     "BitSource",
@@ -144,9 +144,11 @@ class BitSource:
         return (word >> (i % 64)) & 1
 
     def take(self, count: int) -> list:
+        """Bits 0..count-1 as a list; a seeded stream's words are joined
+        into one int, word k from bit 64k, and unpacked in one pass."""
         if self.kind == "random":
             words = _splitmix64_words(self.seed, (count + 63) // 64)
-            return [(words[i // 64] >> (i % 64)) & 1 for i in range(count)]
+            return unpack_bits(pack_slots(words, 64), count)
         return [self.bit(i) for i in range(count)]
 
     def __repr__(self):

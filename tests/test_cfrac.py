@@ -16,6 +16,7 @@ from hypothesis import example, given, strategies as st
 from plcpkit.cfrac import (
     ContinuedFraction,
     _euclid,
+    _split,
     convergents,
     has_flat_expansion,
     laurent_cf,
@@ -194,6 +195,46 @@ def test_slot_euclid_matches_the_dense_euclid_at_1024(p):
         terms = [0] * zeros + [rng.randrange(p) for _ in range(1024 - zeros)]
         s = CoeffSeq(PrimeField(p), terms, origin=1)
         assert laurent_cf(s) == dense_laurent_cf(s), zeros
+
+
+def test_quotient_table_keeps_fields_and_widths_apart():
+    # one int, read as 3 + t in 4-bit slots and as the constant 19 in 8-bit slots
+    q = 3 | 1 << 4
+    f3, f5 = PrimeField(3), PrimeField(5)
+    assert _split(f3, 4, q) == (1, DensePoly(f3, [0, 1]))
+    assert _split(f5, 4, q) == (1, DensePoly(f5, [3, 1]))
+    assert _split(f5, 8, q) == (4, DensePoly(f5, [1]))
+    assert _split(f3, 8, q) == (1, DensePoly(f3, [1]))
+    for key in [(f3, 4), (f5, 4), (f5, 8), (f3, 8)]:
+        assert _split(*key, q) is _split(*key, q)  # a second call reads the table
+        assert _split(*key, q)[1].field == key[0]
+
+
+def test_laurent_cf_with_a_warm_table_matches_the_dense_euclid():
+    # the fields take turns, so equal packed quotients of two fields meet in
+    # the table, and every prefix is expanded again once the table is warm
+    rng = random.Random(27)
+    seqs = []
+    for n in (1, 2, 9, 64, 65, 200):
+        for p in (2, 3, 5, 7):
+            zeros = rng.choice([0, 0, 3, n])
+            terms = [0] * min(zeros, n) + [rng.randrange(p) for _ in range(n - min(zeros, n))]
+            seqs.append(CoeffSeq(PrimeField(p), terms, origin=1))
+    want = [dense_laurent_cf(s) for s in seqs]
+    for _ in range(2):
+        assert [laurent_cf(s) for s in seqs] == want
+
+
+def test_quotient_table_is_bounded():
+    assert _split.cache_info().maxsize == 1024
+    # F65521 quotients of random prefixes are nearly all distinct: 60 prefixes
+    # of 64 terms make about 1,900 entries, so the table evicts
+    rng = random.Random(1024)
+    f = PrimeField(65521)
+    for _ in range(60):
+        s = CoeffSeq(f, [rng.randrange(f.p) for _ in range(64)], origin=1)
+        assert laurent_cf(s) == dense_laurent_cf(s)
+    assert _split.cache_info().currsize == 1024
 
 
 def test_rational_cf_matches_the_dense_euclid():

@@ -407,6 +407,19 @@ def test_om_takes_spaces_and_negative_coefficients(capsys, g, printed):
     assert rc == 0 and out.startswith(f"g = {printed} over F13\n")
 
 
+@pytest.mark.parametrize("length", [64, 513])
+@pytest.mark.parametrize("source", ["phi2-random", "random-unconstrained"])
+def test_verify_report_matches_the_golden_file(capsys, source, length):
+    # tests/golden holds the reports as made at commit f9f7285; tier1.yml
+    # diffs the installed console script's output against one of them
+    rc, out, err = run(
+        capsys, "verify", "--source", source, "--trials", "3", "--seed", "11", "--length", str(length)
+    )
+    assert (rc, err) == (0, "")
+    golden = Path(__file__).parent / "golden" / f"verify-{source}-{length}.txt"
+    assert out.encode("ascii") == golden.read_bytes()
+
+
 def test_verify_phi2_trials_unanimous(capsys):
     rc, out, err = run(
         capsys, "verify", "--source", "phi2-random", "--trials", "2",

@@ -278,6 +278,48 @@ def test_unpack_of_no_bits_is_empty():
     assert unpack_bits(0b1011, 0) == [] and unpack_bits(0b1011, -1) == []
 
 
+def _pack_bits_by_join(bits):
+    # the per-bit string join that pack_bits replaced, kept as its oracle
+    if not bits:
+        return 0
+    return int("".join("1" if b else "0" for b in reversed(bits)), 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 511, 512, 2047, 2048, 4097])
+def test_pack_unpack_round_trip_at_word_boundaries(n):
+    rng = random.Random(n)
+    shapes = {
+        "random": [rng.randrange(2) for _ in range(n)],
+        "all-zero": [0] * n,
+        "all-one": [1] * n,
+        "leading-zero": [0] * (n - n // 2) + [rng.randrange(2) for _ in range(n // 2)],
+        # the top bits are zero, so the int is shorter than n bits
+        "top-zero": [rng.randrange(2) for _ in range(n // 2)] + [0] * (n - n // 2),
+    }
+    for name, bits in shapes.items():
+        packed = pack_bits(bits)
+        assert packed == _pack_bits_by_join(bits) == pack_bits(tuple(bits)), name
+        assert unpack_bits(packed, n) == bits, name
+        # bits at n and above are not read
+        assert unpack_bits(packed | 0b101 << n, n) == bits, name
+
+
+def test_poly_and_field_are_immutable():
+    f5 = PrimeField(5)
+    poly = DensePoly(f5, [1, 2, 3])
+    for name, value in [("field", GF2), ("coeffs", (1,)), ("extra", 0)]:
+        with pytest.raises(AttributeError, match=f"^DensePoly is immutable: cannot set '{name}'$"):
+            setattr(poly, name, value)
+    for name in ("field", "coeffs"):
+        with pytest.raises(AttributeError, match=f"^DensePoly is immutable: cannot delete '{name}'$"):
+            delattr(poly, name)
+    with pytest.raises(AttributeError, match="^PrimeField is immutable: cannot set 'p'$"):
+        f5.p = 7
+    with pytest.raises(AttributeError, match="^PrimeField is immutable: cannot delete 'p'$"):
+        del f5.p
+    assert poly == DensePoly(PrimeField(5), [1, 2, 3]) and f5.p == 5
+
+
 def test_field_hash_floor_division_and_repr():
     f5 = PrimeField(5)
     assert hash(f5) == hash(PrimeField(5)) == hash(("PrimeField", 5))

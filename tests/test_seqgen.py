@@ -90,6 +90,16 @@ class TestBitSource:
         b = BitSource.seeded(99)
         assert b.take(130) == [b.bit(i) for i in range(130)]
 
+    @pytest.mark.parametrize("seed", [0, 99, _M64])
+    def test_take_matches_bit_at_word_boundaries(self, seed):
+        b = BitSource.seeded(seed)
+        want = [b.bit(i) for i in range(8192)]
+        # the per-bit take that the one-int unpack replaced, kept as an oracle
+        words = _splitmix64_words(b.seed, 8192 // 64)
+        assert want == [(words[i // 64] >> (i % 64)) & 1 for i in range(8192)]
+        for count in (0, 1, 63, 64, 65, 511, 512, 2047, 2048, 4097, 8191, 8192):
+            assert b.take(count) == want[:count], count
+
     @pytest.mark.parametrize(
         "spec",
         ["literal:1011", "periodic::1", "periodic:1:001", "random:42"],
