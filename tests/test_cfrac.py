@@ -211,15 +211,17 @@ def test_quotient_table_keeps_fields_and_widths_apart():
 
 
 def test_laurent_cf_with_a_warm_table_matches_the_dense_euclid():
-    # the fields take turns, so equal packed quotients of two fields meet in
-    # the table, and every prefix is expanded again once the table is warm
+    # the one quotient of 1, 0, ..., 0 is t, packed as 1 << w in every field;
+    # F5 and F7 at 9 terms and F3 at 64 all have 8-bit slots, so keys equal
+    # but for the field meet in the table.  Every prefix runs again warm.
     rng = random.Random(27)
     seqs = []
     for n in (1, 2, 9, 64, 65, 200):
         for p in (2, 3, 5, 7):
-            zeros = rng.choice([0, 0, 3, n])
-            terms = [0] * min(zeros, n) + [rng.randrange(p) for _ in range(n - min(zeros, n))]
-            seqs.append(CoeffSeq(PrimeField(p), terms, origin=1))
+            zeros = min(rng.choice([0, 0, 3, n]), n)
+            drawn = [0] * zeros + [rng.randrange(p) for _ in range(n - zeros)]
+            for terms in ([1] + [0] * (n - 1), drawn):
+                seqs.append(CoeffSeq(PrimeField(p), terms, origin=1))
     want = [dense_laurent_cf(s) for s in seqs]
     for _ in range(2):
         assert [laurent_cf(s) for s in seqs] == want
@@ -227,8 +229,8 @@ def test_laurent_cf_with_a_warm_table_matches_the_dense_euclid():
 
 def test_quotient_table_is_bounded():
     assert _split.cache_info().maxsize == 1024
-    # F65521 quotients of random prefixes are nearly all distinct: 60 prefixes
-    # of 64 terms make about 1,900 entries, so the table evicts
+    # the quotients of random F65521 prefixes are all distinct: 60 prefixes of
+    # 64 terms make 1,920 entries, so the table evicts
     rng = random.Random(1024)
     f = PrimeField(65521)
     for _ in range(60):
