@@ -5,28 +5,36 @@ built from an origin-0 prefix.
 
 Every field reads H_1..H_m from one incremental elimination of the
 rows of H_m.  Row k enters at step k and is reduced by the pivots kept
-so far, in increasing order of pivot column; if anything is left it
-becomes a pivot at its first nonzero column.  Adding multiples of
-earlier rows to a later one changes no leading minor.  If the pivot
-columns after row k-1 are exactly 0..k-1, the first k rows on the first
-k columns are a row-permuted triangular matrix and H_k = sign(sigma_k)
-times the product of the pivot entries, sigma_k mapping each row to its
-pivot column; otherwise H_k = 0.  Once a row reduces to zero, the rows
-so far are dependent and every later order is 0.
+so far; if anything is left it becomes a pivot at its first nonzero
+column.  Adding multiples of earlier rows to a later one changes no
+leading minor.  If the pivot columns after row k-1 are exactly 0..k-1,
+the first k rows on the first k columns are a row-permuted triangular
+matrix and H_k = sign(sigma_k) times the product of the pivot entries,
+sigma_k mapping each row to its pivot column; otherwise H_k = 0.  Once a
+row reduces to zero, the rows so far are dependent and every later
+order is 0.
 
-Over F2 the rows are packed ints and only the parity is kept
-(`_f2_parities`, O(m^3/64) bit operations, its pivots grouped six at a
-time by the method of Four Russians); `first_even_hankel_order` stops it
-at the first even order.  For odd p (`_mod_p_values`) the pivot rows are
-kept unscaled with the inverse of their leading entry, and the sign as a
-running inversion count.  Each row is one int with a slot of w bits per
-column, as in Kronecker substitution: a slot starts below p and grows by
-at most (p-1)^2 per pivot, so w and the Barrett reduction of a new pivot
-row come from `field._slots`, the layout of the odd-p division too.
+Over F2 (`_f2_pass`) the rows are packed ints with column j at bit
+m-1-j, and only the parity is kept.  It is the right-looking method of
+Four Russians: a row is reduced by the pivots in no table yet, in row
+order; once the six columns of a block hold pivots, the 64 sums of
+those pivots are tabled and applied to every later row at once.  Each
+pivot stays zero at the pivot columns of the pivots before it and of
+the tables, so that order is sound.  O(m) Python steps plus about
+m^2/12 row updates in list comprehensions for orders 1..m, and
+O(m^3/64) bit operations; `first_even_hankel_order` stops it at the
+first even order, before the first table cuts the rest of the rows.
+For odd p (`_mod_p_values`) a row is reduced by the pivots in
+increasing order of pivot column; they are kept unscaled with the
+inverse of their leading entry, and the sign as a running inversion
+count.  Each row is one int with a slot of w bits per column, as in
+Kronecker substitution: a slot starts below p and grows by at most
+(p-1)^2 per pivot, so w and the Barrett reduction of a new pivot row
+come from `field._slots`, the layout of the odd-p division too.
 Reducing a row by a pivot is one multiply-add of m*w-bit ints, and the
-pass takes O(m^2) Python steps for orders 1..m.  Rows are cut once, in
-`_minors`: it packs the prefix, a bit or a w-bit slot a term, cuts row k
-from it at term k, and hands its layout, w and `reduce`, to
+pass takes O(m^2) Python steps for orders 1..m.  Rows are cut in
+`_minors`: it packs the prefix once, a bit or a w-bit slot a term, cuts
+row k from it as it is read, and hands its layout, w and `reduce`, to
 `_mod_p_values`.
 
 The pass uses only the Hankel entries, so this route stays independent
@@ -34,9 +42,10 @@ of the profile, the recurrences and the continued fraction.  It is the
 one route in the package; the tests check it against the eliminations
 it replaced, kept in `tests/hankel_oracle.py`: a column-pivoted
 elimination of each order on its own, which they check against a
-Leibniz expansion, over F2 a per-order packed elimination and the
-ungrouped pass, for odd p the pass on lists of residues, and for +-1
-entries per-order Bareiss and the lift from one Mersenne prime.  The
+Leibniz expansion, over F2 a per-order packed elimination, the
+ungrouped pass and the left-looking grouped one, for odd p the pass on
+lists of residues, and for +-1 entries per-order Bareiss and the lift
+from one Mersenne prime.  The
 exact integers of a +-1 prefix are the odd-p pass mod a few 127-bit
 primes, joined by the Chinese remainder theorem (Garner, 1959) and
 lifted to (-M/2, M/2), M their product: by Hadamard's bound
@@ -45,8 +54,9 @@ lifted to (-M/2, M/2), M their product: by Hadamard's bound
 
 from __future__ import annotations
 
-from bisect import bisect, insort
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import repeat
 
 from plcpkit.field import CoeffSeq, _slots, pack_bits, pack_slots
 
@@ -73,64 +83,71 @@ class HankelReport:
         return len(self.values)
 
 
-_GROUP = 6  # pivot columns per table, so a table has 64 rows
-_FULL = (1 << _GROUP) - 1
+_BLOCK = 6  # pivot columns per Four-Russians table, so a table has 64 rows
+_FULL = (1 << _BLOCK) - 1
 
 
-def _group_table(pivots, g):
-    """The 64 sums of the pivots with lowest bits g..g+5, indexed by those columns.
+def _f2_pass(rows, m: int):
+    """Yield the parities of the leading minors of m packed F2 rows, in order.
 
-    The pivots are first reduced within the six columns, so pivot j has
-    bit g+j and no other bit there.  The table is then built by doubling:
-    pivot j appends the 2^j sums so far, each plus pivot j, so bit j of an
-    index picks pivot j.
-    """
-    red = list(pivots)
-    for j in range(_GROUP - 2, -1, -1):
-        for t in range(j + 1, _GROUP):
-            if red[j] >> (g + t) & 1:
-                red[j] ^= red[t]
-    table = [0]
-    for piv in red:  # the sums so far, then each of them plus this pivot
-        table += [t ^ piv for t in table]
-    return tuple(table)
+    Column j of a row is its bit m-1-j, so the first nonzero column of a
+    row is its top bit, and columns 6b..6b+5 are the bits lo..lo+5 of
+    block b, lo = m - 6(b+1); the last m mod 6 columns are in no block.
+    Row k is reduced by the pending pivots, those in no table yet, in row
+    order, and what is left becomes a pending pivot at its top bit.  As
+    soon as the six columns of a block all hold pivots, their 64 sums are
+    tabled by those bits (the method of Four Russians: Arlazarov, Dinic,
+    Kronrod and Faradzev, 1970), the table is applied to every later row
+    and to the other pending pivots, and dropped: the right-looking form
+    of M4RI (Albrecht, Bard and Hart, 2010).  Invariant: each pivot is
+    zero at the pivot columns of every pivot before it and of every
+    table, and every later row at those of every table; so the pending
+    pivots reduce a row soundly in row order, one sum of a table's
+    pivots clears its six columns, and each reduced row is the one the
+    pivot-by-pivot pass gives.  A later row indexes a table by
+    `row >> lo`, masked to six bits only while a block of lower columns
+    is open.  Rows are cut lazily until the first table, so an early exit
+    reads only the rows it needs.
 
-
-def _f2_parities(rows):
-    """Yield the parities of the leading minors of packed F2 rows, in order.
-
-    Bit j of a row is its column j; see the module docstring.  A row is
-    reduced by steps (shift, mask, table) in increasing shift, each
-    `row ^= table[row >> shift & mask]`.  A lone pivot with lowest bit c
-    is the step (c, 1, (0, pivot)).  Once the pivot columns cover a group
-    g..g+5 (g a multiple of `_GROUP`), in any order, its six steps
-    become one step whose table holds all 64 sums of its pivots: the
-    method of Four Russians (Arlazarov, Dinic, Kronrod and Faradzev).
-    Only one sum of those pivots clears the six columns, so each reduced
-    row is the one the pivot-by-pivot pass gives (`one_pass_parities` in
-    the tests).  Still O(m^3/64) bit operations, in about m^2/12 Python
-    steps instead of m^2/2; the m/6 tables hold 64 rows each.
+    O(m) Python steps for orders 1..m (while every minor is odd, at most
+    five pending pivots a row), m/6 table builds, and about m^2/12 row
+    updates in one list comprehension per table; O(m^3/64) bit
+    operations, on rows that shorten as their top blocks clear.
     """
     rows = iter(rows)
-    steps = []  # (shift, mask, table), sorted by shift
-    cols = 0  # union of the pivots' lowest set bits
-    for k, row in enumerate(rows):
-        for shift, mask, table in steps:  # increasing: a step only sets bits above its own
-            row ^= table[row >> shift & mask]
+    pending = []  # (pivot bit, pivot) of the pivots in no table, in row order
+    cols = want = tabled = 0  # pivot bits; the bits of columns 0..k; the tables' bits
+    for k in range(m):
+        row = next(rows)
+        for bit, piv in pending:
+            if row & bit:
+                row ^= piv
         if not row:  # rows 0..k are dependent: this and every later minor is 0
             yield 0
-            yield from (0 for _ in rows)
+            yield from repeat(0, m - 1 - k)
             return
-        low = row & -row
-        cols |= low
-        c = low.bit_length() - 1
-        insort(steps, (c, 1, (0, row)))  # the shifts are distinct, so tables never compare
-        g = c - c % _GROUP
-        if cols >> g & _FULL == _FULL:
-            at = bisect(steps, (g,))
-            pivots = [t[1] for _, _, t in steps[at : at + _GROUP]]
-            steps[at : at + _GROUP] = [(g, _FULL, _group_table(pivots, g))]
-        yield 1 if cols == (2 << k) - 1 else 0
+        top = row.bit_length() - 1
+        bit = 1 << top
+        pending.append((bit, row))
+        cols |= bit
+        want |= 1 << m - 1 - k
+        yield 1 if cols == want else 0
+        lo = top - (top - m) % _BLOCK  # column m-1-top is in the block of bits lo..lo+5
+        if lo < 0 or cols >> lo & _FULL != _FULL:
+            continue
+        table = [0]  # the sums of the pivots with bits lo..lo+j-1, indexed by those bits
+        for bit, piv in sorted(pending):
+            if 0 < bit >> lo <= _FULL:  # the next, with pivot bit lo+j: clear its bits below it
+                piv ^= table[piv >> lo & len(table) - 1]
+                table += [x ^ piv for x in table]
+        if tabled >> lo + _BLOCK == (1 << m - lo - _BLOCK) - 1:  # no later row has bits above
+            rows = iter([r ^ table[r >> lo] for r in rows])
+        else:
+            rows = iter([r ^ table[r >> lo & _FULL] for r in rows])
+        pending = [
+            (bit, piv ^ table[piv >> lo & _FULL]) for bit, piv in pending if not 0 < bit >> lo <= _FULL
+        ]
+        tabled |= _FULL << lo
 
 
 def _mod_p_values(rows, p: int, m: int, w: int, reduce):
@@ -174,15 +191,13 @@ def _mod_p_values(rows, p: int, m: int, w: int, reduce):
 
 
 def _minors(terms, m: int, p: int):
-    """Yield H_1..H_m mod p of a prefix: its 2m - 1 terms packed once, row k cut at term k."""
-    if p == 2:
-        w, full = 1, pack_bits(terms[: 2 * m - 1])
-    else:
-        w, reduce = _slots(p, m, m)
-        full = pack_slots(terms[: 2 * m - 1], w)
-    mask = (1 << m * w) - 1
-    rows = (full >> k * w & mask for k in range(m))
-    return _f2_parities(rows) if p == 2 else _mod_p_values(rows, p, m, w, reduce)
+    """Yield H_1..H_m mod p of a prefix: its 2m - 1 terms packed once, row k cut as it is read."""
+    if p == 2:  # column j at bit m-1-j: row k is the m bits from m-1-k
+        full, mask = pack_bits(terms[2 * m - 2 :: -1]), (1 << m) - 1
+        return _f2_pass((full >> s & mask for s in range(m - 1, -1, -1)), m)
+    w, reduce = _slots(p, m, m)
+    full, mask = pack_slots(terms[: 2 * m - 1], w), (1 << m * w) - 1
+    return _mod_p_values((full >> k * w & mask for k in range(m)), p, m, w, reduce)
 
 
 def _check_order(max_order: int, have: int):

@@ -345,6 +345,29 @@ def test_continued_fraction_rejects_bad_fields_and_indices(make, error, message)
     assert _cf((_T,), (1,), None).partial_quotient(1) == _T
 
 
+_F3 = PrimeField(3)
+
+
+@pytest.mark.parametrize("at", [0, 39], ids=["first", "last"])
+@pytest.mark.parametrize(
+    "quotient, unit, message",
+    [
+        (DensePoly.one(_F3), 1, "partial quotients must have degree >= 1"),
+        (DensePoly(_F3, (0, 2)), 1, "stored quotients must be monic"),
+        (DensePoly(_F3, (1, 1)), 0, "units must be nonzero residues"),
+        (DensePoly(_F3, (1, 1)), 3, "units must be nonzero residues"),
+    ],
+    ids=["constant", "not-monic", "unit-0", "unit-p"],
+)
+def test_direct_construction_checks_every_repeated_quotient_and_unit(at, quotient, unit, message):
+    # `laurent_cf` has each distinct quotient checked once; a direct construction reads them all
+    quotients, units = [DensePoly(_F3, (2, 1))] * 40, [2] * 40
+    quotients[at], units[at] = quotient, unit
+    with pytest.raises(ValueError) as info:
+        _cf(tuple(quotients), tuple(units), 1, _F3)
+    assert str(info.value) == message
+
+
 def test_laurent_cf_consumed_degree_bound():
     rng = random.Random(11)
     for _ in range(200):

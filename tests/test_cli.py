@@ -420,6 +420,17 @@ def test_verify_report_matches_the_golden_file(capsys, source, length):
     assert out.encode("ascii") == golden.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["hankel-phi2-512", "hankel-phi2-512-flip"])
+def test_analyze_hankel_report_matches_the_golden_file(capsys, name):
+    # reports made at commit 0295cae: a perfect phi2 prefix, and the same with
+    # c_301 flipped, whose first even order 152 has odd and even orders after it
+    golden = Path(__file__).parent / "golden"
+    path = str(golden / f"{name}.seq")
+    rc, out, err = run(capsys, "analyze", "hankel", "--in", path, "--max", "256")
+    assert (rc, err) == (0, "")
+    assert out.encode("ascii") == (golden / f"{name}-hankel-256.txt").read_bytes()
+
+
 def test_verify_phi2_trials_unanimous(capsys):
     rc, out, err = run(
         capsys, "verify", "--source", "phi2-random", "--trials", "2",

@@ -5,7 +5,9 @@ read one incremental elimination; the per-order eliminations of
 `hankel_oracle` (column pivoting over every field, over F2
 `hankel_parities`, and for exact +-1 values `bareiss_values`) are its
 oracles here; so are, over F2, `one_pass_parities`, the pass as it was
-before its pivots were grouped into tables, for odd p
+before its pivots were grouped into tables, and `_f2_parities`, the
+left-looking pass as it was before its tables were applied to the
+later rows at once, for odd p
 `list_mod_p_values`, the pass as it was before its rows were packed
 into integer slots, and for exact +-1 values `lifted_pm1_values`, the
 pass mod one Mersenne prime before the Chinese remainder theorem
@@ -15,9 +17,12 @@ over 127-bit primes replaced it.
 import itertools
 import random
 
+import hankel_oracle
 import pytest
 from hankel_oracle import (
     _MERSENNE_EXPONENTS,
+    _f2_parities,
+    _group_table,
     _lift_modulus,
     bareiss_values,
     det_mod_p,
@@ -36,8 +41,7 @@ from plcpkit import hankel
 from plcpkit.hankel import (
     ApwwResult,
     HankelReport,
-    _f2_parities,
-    _group_table,
+    _f2_pass,
     _mod_p_values,
     _proth_primes,
     apww_check,
@@ -46,7 +50,7 @@ from plcpkit.hankel import (
     hankel_mod_p,
     is_apwenian_hankel,
 )
-from plcpkit.lincomplex import lcp_profile, recurrence_check
+from plcpkit.lincomplex import BerlekampMassey, lcp_profile, recurrence_check
 from plcpkit.seqgen import BitSource, named_sequence, phi2_selector
 
 GF2 = PrimeField(2)
@@ -155,7 +159,7 @@ def test_f2_tables_fill_out_of_column_order(monkeypatch):
         built.append(g)
         return _group_table(pivots, g)
 
-    monkeypatch.setattr(hankel, "_group_table", table)
+    monkeypatch.setattr(hankel_oracle, "_group_table", table)
     cells = [unpack_bits(r, 18) for r in rows]
     minors = [det_mod_p([r[:k] for r in cells[:k]], GF2) for k in range(1, 19)]
     assert list(_f2_parities(rows)) == minors == list(one_pass_parities(rows))
@@ -683,15 +687,19 @@ def test_f2_orders_around_group_boundaries(m):
         ([1] + random.Random(256).choices((0, 1), k=510), 2),
         (phi2_prefix(7, 4096), None),
         (flipped(phi2_prefix(7, 4096), 3001), 1502),
+        (flipped(phi2_prefix(9, 2048), 1500), 751),
+        (flipped(flipped(phi2_prefix(10, 2048), 701), 1901), 352),
     ],
-    ids=["random-511", "phi2-4096", "phi2-4096-flip-3001"],
+    ids=["random-511", "phi2-4096", "phi2-4096-flip-3001", "phi2-2048-flip-1500",
+         "phi2-2048-flip-701-1901"],
 )
 def test_grouped_pass_matches_the_ungrouped_pass_on_long_inputs(bits, first_even):
-    # the ungrouped pass is O(m^3/64) too; a per-order oracle is too slow at m = 2048
+    # the ungrouped and left-looking passes are O(m^3/64) too; a per-order
+    # oracle is too slow at m = 2048
     c, m = CoeffSeq(GF2, bits, origin=0), (len(bits) + 1) // 2
     values = hankel_mod_p(c, m).values
     rows = [pack_bits(bits[k : k + m]) for k in range(m)]
-    assert list(values) == list(one_pass_parities(rows))
+    assert list(values) == list(one_pass_parities(rows)) == list(_f2_parities(rows))
     assert first_even_hankel_order(c) == first_zero(values) == first_even
     if first_even is not None:
         assert 1 in values[first_even:] and 0 in values[first_even:]  # the pass runs on past it
@@ -735,3 +743,109 @@ def test_first_even_order_input_validation():
     with pytest.raises(ValueError, match="origin-0"):
         first_even_hankel_order(CoeffSeq(GF2, [1, 0, 1], origin=1))
     assert first_even_hankel_order(CoeffSeq(GF2, [0, 1, 1], origin=0)) == 1
+
+
+def right_looking(rows, n):
+    # the pass on n rows of n columns laid out as the oracles lay them, bit j = column j
+    return list(_f2_pass([pack_bits(unpack_bits(r, n)[::-1]) for r in rows], n))
+
+
+def left_looking_values(bits, m):
+    # the left-looking pass on the rows of H_m
+    return list(_f2_parities(pack_bits(bits[k : k + m]) for k in range(m)))
+
+
+def test_right_looking_pass_equals_the_left_looking_pass_on_every_short_prefix():
+    # order k reads only c_0..c_(2k-2), so these calls cover every prefix of
+    # length <= 16 at every order; k = 6..8 build a table
+    for k in range(1, 9):
+        for x in range(1 << (2 * k - 1)):
+            bits = [x >> i & 1 for i in range(2 * k - 1)]
+            assert list(hankel._minors(bits, k, 2)) == left_looking_values(bits, k), bits
+
+
+def fills_a_block_while_a_lower_one_is_open(lows, n):
+    # the pivot columns in row order fill the six columns of some block while
+    # a block of lower columns still lacks a pivot
+    seen = set()
+    for c in lows:
+        seen.add(c)
+        b = c // 6
+        if 6 * b + 6 <= n and seen.issuperset(range(6 * b, 6 * b + 6)):
+            if not all(seen.issuperset(range(6 * a, 6 * a + 6)) for a in range(b)):
+                return True
+    return False
+
+
+def test_right_looking_pass_when_a_block_fills_while_a_lower_one_is_open():
+    # distinct first columns stay the pivot columns, so rows that take them in
+    # a random order fill blocks out of column order, and then a later row's
+    # table index has to be masked; half the matrices are plain random ones
+    rng = random.Random(40)
+    out_of_order = 0
+    for trial in range(300):
+        n = rng.randint(1, 40)
+        if trial % 2:
+            lows = rng.sample(range(n), n)
+            rows = [1 << c | rng.getrandbits(n - 1 - c) << c + 1 for c in lows]
+            out_of_order += fills_a_block_while_a_lower_one_is_open(lows, n)
+        else:
+            rows = [rng.getrandbits(n) & -1 << rng.choice((0, rng.randrange(n))) for _ in range(n)]
+        assert right_looking(rows, n) == list(_f2_parities(rows)) == list(one_pass_parities(rows))
+    assert out_of_order > 80  # 95 of the 150
+
+
+@pytest.mark.parametrize("d", [3, 9, 6, 12], ids=["before-a-table", "inside-a-block",
+                                                  "after-the-first-table", "after-the-second"])
+def test_right_looking_pass_after_a_rank_collapse(d):
+    # a perfect prefix of length 2d - 1 continued by its length-d recurrence:
+    # H_1..H_d are odd, row d reduces to zero and H_(d+1).. are 0; tables
+    # are built after rows 5 and 11
+    bits = phi2_prefix(d, 2 * d - 1)
+    bm = BerlekampMassey(GF2)
+    assert [bm.push(b) for b in bits][-1] == d
+    taps = [i for i, ci in enumerate(bm._c) if i and ci]
+    while len(bits) < 39:
+        bits.append(sum(bits[-i] for i in taps) & 1)
+    values = hankel_mod_p(CoeffSeq(GF2, bits, origin=0), 20).values
+    assert list(values) == left_looking_values(bits, 20) == hankel_parities(bits, 20)
+    assert values == (1,) * d + (0,) * (20 - d)
+
+
+@pytest.mark.parametrize("zeros", [1, 5, 6, 7, 13])
+def test_right_looking_pass_after_leading_zeros(zeros):
+    # H_1..H_z see only zeros and H_(z+1) = 1: the pivots take columns out of order
+    rng = random.Random(zeros)
+    for body in (phi2_prefix(zeros, 299 - zeros), [1] + rng.choices((0, 1), k=298 - zeros)):
+        bits = [0] * zeros + body
+        values = hankel_mod_p(CoeffSeq(GF2, bits, origin=0), 150).values
+        assert list(values) == left_looking_values(bits, 150)
+        assert values[: zeros + 1] == (0,) * zeros + (1,)
+
+
+def test_first_even_order_reads_only_its_rows_before_the_first_table(monkeypatch):
+    read = []
+    f2_pass = hankel._f2_pass
+
+    def counted(rows):
+        for row in rows:
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(hankel, "_f2_pass", lambda rows, m: f2_pass(counted(rows), m))
+    rng = random.Random(512)
+    # H_1 = c_0 and H_2 = c_0 c_2 + c_1 are even; random prefixes fail at order 1..5
+    cases = [([0] + [1] * 511, 1), ([1, 1, 1] + rng.choices((0, 1), k=509), 2)]
+    for _ in range(40):
+        bits = rng.choices((0, 1), k=512)
+        cases.append((bits, first_zero(hankel_parities(bits, 5))))
+    for bits, k in cases:
+        if k is None:
+            continue
+        read.clear()
+        assert first_even_hankel_order(CoeffSeq(GF2, bits, origin=0)) == k
+        assert len(read) == k
+    # H_7 is the first even order, so the table of columns 0..5 is built: every row is cut
+    read.clear()
+    assert first_even_hankel_order(CoeffSeq(GF2, flipped(phi2_prefix(3, 512), 12), origin=0)) == 7
+    assert len(read) == 256
