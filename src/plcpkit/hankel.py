@@ -45,11 +45,11 @@ elimination of each order on its own, which they check against a
 Leibniz expansion, over F2 a per-order packed elimination, the
 ungrouped pass and the left-looking grouped one, for odd p the pass on
 lists of residues, and for +-1 entries per-order Bareiss and the lift
-from one Mersenne prime.  The
-exact integers of a +-1 prefix are the odd-p pass mod a few 127-bit
-primes, joined by the Chinese remainder theorem (Garner, 1959) and
-lifted to (-M/2, M/2), M their product: by Hadamard's bound
-|H_k| <= k^(k/2), M^2 > 4 m^m makes every value, k <= m, exact.
+from one Mersenne prime.  The exact integers of a +-1 prefix are the
+odd-p pass mod a few 127-bit primes, joined by the Chinese remainder
+theorem (Garner, 1959) and lifted to (-M/2, M/2), M their product: by
+Hadamard's bound |H_k| <= k^(k/2), M^2 > 4 m^m makes every value,
+k <= m, exact.
 """
 
 from __future__ import annotations
