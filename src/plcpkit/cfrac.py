@@ -35,7 +35,7 @@ slot width and packed quotient.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import mul
@@ -73,13 +73,11 @@ class ContinuedFraction:
     quotients: tuple
     units: tuple
     next_degree_bound: int | None
-    _distinct: InitVar[tuple | None] = None  # the distinct quotients, from `_fraction`
 
-    def __post_init__(self, _distinct):
+    def __post_init__(self):
         if len(self.quotients) != len(self.units):
             raise ValueError("quotients and units must align")
-        # each distinct quotient and unit once; a direct construction checks every quotient
-        for q in self.quotients if _distinct is None else _distinct:
+        for q in self.quotients:
             if len(q.coeffs) < 2:
                 raise ValueError("partial quotients must have degree >= 1")
             if q.coeffs[-1] != 1:
@@ -165,7 +163,6 @@ def _fraction(field: PrimeField, w: int, integer_part, packed, bound) -> Continu
         quotients=tuple(map(monics.__getitem__, packed)),
         units=tuple(map(units.__getitem__, packed)),
         next_degree_bound=bound,
-        _distinct=tuple(monics.values()),
     )
 
 

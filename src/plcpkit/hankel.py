@@ -58,7 +58,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import repeat
 
-from plcpkit.field import CoeffSeq, _slots, pack_bits, pack_slots
+from plcpkit.field import _BIT_DIGITS, CoeffSeq, _slots, pack_slots
 
 __all__ = [
     "HankelReport",
@@ -116,7 +116,7 @@ def _f2_pass(rows, m: int):
     """
     rows = iter(rows)
     pending = []  # (pivot bit, pivot) of the pivots in no table, in row order
-    cols = want = tabled = 0  # pivot bits; the bits of columns 0..k; the tables' bits
+    cols = want = 0  # the pivot bits; the bits of columns 0..k
     for k in range(m):
         row = next(rows)
         for bit, piv in pending:
@@ -140,14 +140,13 @@ def _f2_pass(rows, m: int):
             if 0 < bit >> lo <= _FULL:  # the next, with pivot bit lo+j: clear its bits below it
                 piv ^= table[piv >> lo & len(table) - 1]
                 table += [x ^ piv for x in table]
-        if tabled >> lo + _BLOCK == (1 << m - lo - _BLOCK) - 1:  # no later row has bits above
+        if cols >> lo == (1 << m - lo) - 1:  # columns 0..6b+5 hold pivots: no later row has bits above
             rows = iter([r ^ table[r >> lo] for r in rows])
         else:
             rows = iter([r ^ table[r >> lo & _FULL] for r in rows])
         pending = [
             (bit, piv ^ table[piv >> lo & _FULL]) for bit, piv in pending if not 0 < bit >> lo <= _FULL
         ]
-        tabled |= _FULL << lo
 
 
 def _mod_p_values(rows, p: int, m: int, w: int, reduce):
@@ -192,8 +191,8 @@ def _mod_p_values(rows, p: int, m: int, w: int, reduce):
 
 def _minors(terms, m: int, p: int):
     """Yield H_1..H_m mod p of a prefix: its 2m - 1 terms packed once, row k cut as it is read."""
-    if p == 2:  # column j at bit m-1-j: row k is the m bits from m-1-k
-        full, mask = pack_bits(terms[2 * m - 2 :: -1]), (1 << m) - 1
+    if p == 2:  # term t at bit 2m-2-t, so column j at bit m-1-j: row k is the m bits from m-1-k
+        full, mask = int(bytes(terms[: 2 * m - 1]).translate(_BIT_DIGITS), 2), (1 << m) - 1
         return _f2_pass((full >> s & mask for s in range(m - 1, -1, -1)), m)
     w, reduce = _slots(p, m, m)
     full, mask = pack_slots(terms[: 2 * m - 1], w), (1 << m * w) - 1

@@ -360,7 +360,7 @@ _F3 = PrimeField(3)
     ids=["constant", "not-monic", "unit-0", "unit-p"],
 )
 def test_direct_construction_checks_every_repeated_quotient_and_unit(at, quotient, unit, message):
-    # `laurent_cf` has each distinct quotient checked once; a direct construction reads them all
+    # the units are checked once each as a set; one bad entry among repeats is still refused
     quotients, units = [DensePoly(_F3, (2, 1))] * 40, [2] * 40
     quotients[at], units[at] = quotient, unit
     with pytest.raises(ValueError) as info:

@@ -113,6 +113,11 @@ def test_pivot_strategies_agree(pt):
     assert hankel_mod_p(c, m).values == hankel_by_columns(c, m)
 
 
+def right_looking(rows, n):
+    # the pass on n rows of n columns laid out as the oracles lay them, bit j = column j
+    return list(_f2_pass([pack_bits(unpack_bits(r, n)[::-1]) for r in rows], n))
+
+
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.data())
 def test_row_passes_read_the_leading_minors_of_any_matrix(p, n, data):
     # the passes take rows, not Hankel terms, so any square matrix will do
@@ -121,7 +126,7 @@ def test_row_passes_read_the_leading_minors_of_any_matrix(p, n, data):
     minors = [perm_det([r[:k] for r in rows[:k]]) % p for k in range(1, n + 1)]
     if p == 2:
         packed = [sum(b << j for j, b in enumerate(r)) for r in rows]
-        assert list(_f2_parities(packed)) == minors
+        assert list(_f2_parities(packed)) == minors == right_looking(packed, n)
     assert packed_mod_p_values(rows, p) == minors
 
 
@@ -145,6 +150,7 @@ def test_f2_pass_reads_the_leading_minors_of_matrices_to_order_24(nr):
     n, rows = nr
     cells = [unpack_bits(r, n) for r in rows]
     minors = [det_mod_p([r[:k] for r in cells[:k]], GF2) for k in range(1, n + 1)]
+    assert right_looking(rows, n) == minors
     assert list(_f2_parities(rows)) == minors == list(one_pass_parities(rows))
 
 
@@ -162,6 +168,7 @@ def test_f2_tables_fill_out_of_column_order(monkeypatch):
     monkeypatch.setattr(hankel_oracle, "_group_table", table)
     cells = [unpack_bits(r, 18) for r in rows]
     minors = [det_mod_p([r[:k] for r in cells[:k]], GF2) for k in range(1, 19)]
+    assert right_looking(rows, 18) == minors
     assert list(_f2_parities(rows)) == minors == list(one_pass_parities(rows))
     assert built == [12, 0, 6] and minors[-1] == 1 and 0 in minors
 
@@ -743,11 +750,6 @@ def test_first_even_order_input_validation():
     with pytest.raises(ValueError, match="origin-0"):
         first_even_hankel_order(CoeffSeq(GF2, [1, 0, 1], origin=1))
     assert first_even_hankel_order(CoeffSeq(GF2, [0, 1, 1], origin=0)) == 1
-
-
-def right_looking(rows, n):
-    # the pass on n rows of n columns laid out as the oracles lay them, bit j = column j
-    return list(_f2_pass([pack_bits(unpack_bits(r, n)[::-1]) for r in rows], n))
 
 
 def left_looking_values(bits, m):
