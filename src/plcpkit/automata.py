@@ -73,7 +73,7 @@ class KernelClass:
         return self.terms[:tau]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelReport:
     tau: int
     max_classes: int

@@ -126,7 +126,8 @@ def _build_parser() -> _Parser:
 
 
 def _write_text(path, text):
-    if path is None:
+    """Text to the file at path, or to stdout when path is None or ""."""
+    if not path:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="ascii") as fh:
@@ -159,7 +160,7 @@ def _cmd_gen(args):
     invocation += f" --length {args.length}"
     if args.out:
         invocation += f" --out {args.out}"
-    _write_text(args.out or None, dumps_sequence(seq))
+    _write_text(args.out, dumps_sequence(seq))
     print(invocation, file=sys.stderr)
     return EXIT_OK
 
@@ -213,7 +214,7 @@ def _cmd_cf(args):
         "max-degree": max(degrees, default=None),
         "flat": has_flat_expansion(cf, len(seq)),
     }
-    _write_text(args.json or None, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.json, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 

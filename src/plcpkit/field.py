@@ -4,10 +4,13 @@ Residues are plain ints in [0, p); the containers validate on
 construction, so a value never leaves the range.  `DensePoly` stores
 coefficients ascending by degree with no trailing zeros: it takes any
 int, reduced mod p in its constructor and nowhere else, and refuses
-anything else.  A `PrimeField` and a `DensePoly` are immutable, so one
-can be shared by every caller in the process, as `cfrac`'s table of
-split quotients does.  `CoeffSeq` is a finite sequence prefix with an
-explicit index origin (0 or 1): a term must already be an int in [0, p).
+anything else.  `CoeffSeq` is a finite sequence prefix with an explicit
+index origin (0 or 1): a term must already be an int in [0, p).
+The value types `PrimeField`, `DensePoly`, `CoeffSeq` and
+`seqgen.BitSource` follow one rule, kept in their base `_Frozen`: they
+are immutable and compare and hash by their key, so one value can be
+shared by every caller in the process, as `cfrac`'s table of split
+quotients does, and a checked sequence stays checked.
 The F2 fast paths use ints as bit vectors; `pack_bits` and
 `unpack_bits` convert between those and 0/1 lists by a byte
 translation and int(..., 2) or format(), with no Python step per bit.
@@ -53,7 +56,31 @@ def _is_prime(n):
     return True
 
 
-class PrimeField:
+class _Frozen:
+    """Base of the value types: slots are set only through `_set`, when a
+    value is built; two values are equal when of one type with equal
+    `_key()`, and a value hashes as its key."""
+
+    __slots__ = ()
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class PrimeField(_Frozen):
     """Prime field F_p, p < 2^16, with residues as plain ints."""
 
     __slots__ = ("p",)
@@ -63,14 +90,10 @@ class PrimeField:
             raise ValueError(f"field modulus must be an int in [2, 2^16): {p!r}")
         if not _is_prime(p):
             raise ValueError(f"field modulus is not prime: {p}")
-        object.__setattr__(self, "p", p)
+        self._set(p=p)
 
-    # immutable: a field is part of the key of `cfrac`'s quotient table
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PrimeField is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PrimeField is immutable: cannot delete {name!r}")
+    def _key(self):
+        return ("PrimeField", self.p)
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -97,12 +120,6 @@ class PrimeField:
                 raise ValueError(f"not a residue mod {p}: {v!r}")
         return tuple(map(int, out))
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
     def __repr__(self):
         return f"PrimeField({self.p})"
 
@@ -115,7 +132,7 @@ def _check_same_field(a, b):
         raise ValueError(f"mixed fields: {a.field!r} vs {b.field!r}")
 
 
-class DensePoly:
+class DensePoly(_Frozen):
     """Dense polynomial over F_p, coefficients ascending, canonical form."""
 
     __slots__ = ("field", "coeffs")
@@ -127,15 +144,10 @@ class DensePoly:
                 raise ValueError(f"coefficients must be ints: {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._set(field=field, coeffs=tuple(cs))
 
-    # immutable: `cfrac` hands one DensePoly to every expansion in the process
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DensePoly is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"DensePoly is immutable: cannot delete {name!r}")
+    def _key(self):
+        return (self.field.p, self.coeffs)
 
     @classmethod
     def zero(cls, field):
@@ -222,16 +234,6 @@ class DensePoly:
         ui = self.field.inv(u)
         return u, DensePoly(self.field, [c * ui for c in self.coeffs])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DensePoly)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.coeffs))
-
     def to_string(self):
         if self.is_zero:
             return "0"
@@ -257,14 +259,19 @@ _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _BIT_DIGITS = b"0" + b"1" * 255
 
 
+def bit_string(bits) -> str:
+    """0/1 values as a string of digits, "0110", by one byte translation."""
+    return bytes(bits).translate(_BIT_DIGITS).decode()
+
+
 def pack_bits(bits) -> int:
     """A 0/1 list as an int, bit i = bits[i] (over F2, the coefficient of x^i).
 
-    The bits as bytes, reversed, translated to digits and read by
-    int(..., 2): no Python step per bit."""
+    The bits as digits, reversed and read by int(..., 2): no Python step
+    per bit."""
     if not bits:
         return 0
-    return int(bytes(bits)[::-1].translate(_BIT_DIGITS), 2)
+    return int(bit_string(bits)[::-1], 2)
 
 
 def pack_slots(values, w: int) -> int:
@@ -411,7 +418,7 @@ def _as_origin(origin) -> int:
     return int(origin)
 
 
-class CoeffSeq:
+class CoeffSeq(_Frozen):
     """Finite sequence prefix over F_p with index origin 0 or 1.
 
     ``seq[n]`` uses the absolute index: an origin-1 sequence of length N
@@ -425,9 +432,10 @@ class CoeffSeq:
         tt = field.validate(terms)
         if not tt:
             raise ValueError("empty sequence")
-        self.field = field
-        self.terms = tt
-        self.origin = origin
+        self._set(field=field, terms=tt, origin=origin)
+
+    def _key(self):
+        return (self.field.p, self.origin, self.terms)
 
     def __len__(self):
         return len(self.terms)
@@ -448,19 +456,8 @@ class CoeffSeq:
         if origin == self.origin:
             return self
         out = object.__new__(CoeffSeq)
-        out.field, out.terms, out.origin = self.field, self.terms, origin
+        out._set(field=self.field, terms=self.terms, origin=origin)
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoeffSeq)
-            and other.field == self.field
-            and other.origin == self.origin
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.origin, self.terms))
 
     def __repr__(self):
         head = ",".join(map(str, self.terms[:12]))
@@ -490,7 +487,7 @@ class SequenceFormatError(ValueError):
 # re.ASCII: \d would otherwise take any Unicode decimal digit, as int() does
 _HEADER_RE = re.compile(r"^#\s*field=(\d+)\s+origin=([01])\s+length=(\d+)\s*$", re.ASCII)
 _NOT_A_BIT = re.compile(r"[^01]")
-_RESIDUE = re.compile(r"-?[0-9]+")  # int() would also take "1_0", "+2" and non-ASCII digits
+_RESIDUE = re.compile(r"-?[0-9]+")  # also a seed; int() would take "1_0", "+2" and non-ASCII digits
 
 
 def loads_sequence(text: str) -> CoeffSeq:
@@ -567,7 +564,7 @@ def loads_sequence(text: str) -> CoeffSeq:
 def dumps_sequence(seq: CoeffSeq) -> str:
     header = f"# field={seq.field.p} origin={seq.origin} length={len(seq)}"
     if seq.field.p == 2:
-        return header + "\nbits=" + "".join(map(str, seq.terms)) + "\n"
+        return header + "\nbits=" + bit_string(seq.terms) + "\n"
     body = []
     for i in range(0, len(seq.terms), 32):
         body.append(" ".join(map(str, seq.terms[i : i + 32])))

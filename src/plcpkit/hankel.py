@@ -58,7 +58,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import repeat
 
-from plcpkit.field import _BIT_DIGITS, CoeffSeq, _slots, pack_slots
+from plcpkit.field import CoeffSeq, _slots, bit_string, pack_slots
 
 __all__ = [
     "HankelReport",
@@ -192,7 +192,7 @@ def _mod_p_values(rows, p: int, m: int, w: int, reduce):
 def _minors(terms, m: int, p: int):
     """Yield H_1..H_m mod p of a prefix: its 2m - 1 terms packed once, row k cut as it is read."""
     if p == 2:  # term t at bit 2m-2-t, so column j at bit m-1-j: row k is the m bits from m-1-k
-        full, mask = int(bytes(terms[: 2 * m - 1]).translate(_BIT_DIGITS), 2), (1 << m) - 1
+        full, mask = int(bit_string(terms[: 2 * m - 1]), 2), (1 << m) - 1
         return _f2_pass((full >> s & mask for s in range(m - 1, -1, -1)), m)
     w, reduce = _slots(p, m, m)
     full, mask = pack_slots(terms[: 2 * m - 1], w), (1 << m * w) - 1

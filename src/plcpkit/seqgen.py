@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from plcpkit.field import GF2, CoeffSeq, pack_slots, unpack_bits
+from plcpkit.field import GF2, _RESIDUE, CoeffSeq, _Frozen, bit_string, pack_slots, unpack_bits
 
 __all__ = [
     "BitSource",
@@ -56,16 +56,12 @@ def _bits(value) -> tuple:
     return tuple(map(int, out))
 
 
-def _text(bits) -> str:
-    return "".join(map(str, bits))
-
-
 def derive_seed(seed: int, index: int) -> int:
     """Per-trial seed: word 0 of the stream seeded with seed XOR (index+1)*golden."""
     return _splitmix64((seed ^ ((index + 1) * _GOLDEN)) + _GOLDEN)
 
 
-class BitSource:
+class BitSource(_Frozen):
     """Deterministic bit stream: literal, eventually periodic, or seeded.
 
     Spec strings: ``literal:1011``, ``periodic:<pre>:<per>`` (either part
@@ -76,15 +72,16 @@ class BitSource:
     __slots__ = ("kind", "bits", "preperiod", "period", "seed")
 
     def __init__(self, kind, bits=(), preperiod=(), period=(), seed=0):
-        self.seed = seed & _M64
+        seed &= _M64
         if kind not in ("literal", "periodic", "random"):
             raise ValueError(f"unknown bit source kind: {kind!r}")
-        self.kind = kind
-        self.period = _bits(period)
-        if kind == "periodic" and not self.period:
+        period = _bits(period)
+        if kind == "periodic" and not period:
             raise ValueError("periodic bit source needs a nonempty period")
-        self.bits = _bits(bits)
-        self.preperiod = _bits(preperiod)
+        self._set(kind=kind, bits=_bits(bits), preperiod=_bits(preperiod), period=period, seed=seed)
+
+    def _key(self):
+        return (self.kind, self.bits, self.preperiod, self.period, self.seed)
 
     @classmethod
     def literal(cls, bits):
@@ -113,18 +110,17 @@ class BitSource:
                 raise ValueError(f"bad periodic bit strings: {rest!r}")
             return cls.periodic(pre, per)
         if kind == "random":
-            try:
-                return cls.seeded(int(rest, 10))
-            except ValueError:
-                raise ValueError(f"bad seed: {rest!r}") from None
+            if not _RESIDUE.fullmatch(rest):
+                raise ValueError(f"bad seed: {rest!r}")
+            return cls.seeded(int(rest))
         raise ValueError(f"unknown bit source kind: {kind!r}")
 
     def spec(self) -> str:
         """Canonical round-trippable spec string."""
         if self.kind == "literal":
-            return "literal:" + _text(self.bits)
+            return "literal:" + bit_string(self.bits)
         if self.kind == "periodic":
-            return f"periodic:{_text(self.preperiod)}:{_text(self.period)}"
+            return f"periodic:{bit_string(self.preperiod)}:{bit_string(self.period)}"
         return f"random:{self.seed}"
 
     def bit(self, i: int) -> int:
@@ -301,7 +297,7 @@ class UniformMorphism:
         return self.image1[0] == 1
 
     def __str__(self):
-        return f"1->{_text(self.image1)}, 0->{_text(self.image0)}"
+        return f"1->{bit_string(self.image1)}, 0->{bit_string(self.image0)}"
 
 
 def morphism_fixed_point(m: UniformMorphism, n: int) -> CoeffSeq:

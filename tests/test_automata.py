@@ -1,5 +1,6 @@
 """Kernel scans, the u/v decomposition, and morphism searches."""
 
+import dataclasses
 import random
 
 import pytest
@@ -84,6 +85,14 @@ def test_kernel_budget_and_precision_outcomes():
     assert capped.bound_hit and capped.bound_reason == "max-classes"
     assert capped.class_count() == 64
     assert "bound-hit: true (max-classes)" in capped.summary()
+
+
+def test_kernel_report_refuses_assignment():
+    rep = kernel_explore(named_sequence("thue-morse", 256), tau=16, max_classes=2)
+    for name in ("tau", "classes", "edges", "bound_reason"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, None)
+    assert rep.closed and rep.class_count() == 2  # Thue-Morse: {t, 1 - t}
 
 
 def _walk(rep):

@@ -520,6 +520,15 @@ def test_verify_report_file(capsys, tmp_path):
     assert "verdict: ok" in text
 
 
+def test_verify_report_to_an_empty_path_goes_to_stdout(capsys, tmp_path):
+    # as for gen --out, analyze cf --json and analyze lcp|hankel --csv
+    report_path = tmp_path / "report.txt"
+    argv = ("verify", "--source", "phi2-random", "--length", "8")
+    run(capsys, *argv, "--report", str(report_path))
+    rc, out, err = run(capsys, *argv, "--report", "")
+    assert (rc, out, err) == (0, report_path.read_text(), "")
+
+
 @pytest.mark.parametrize("length", [8, 9, 64, 511])
 @pytest.mark.parametrize("source", ["phi2-random", "random-unconstrained"])
 def test_battery_profile_vote_equals_the_full_profile(source, length):

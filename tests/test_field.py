@@ -13,6 +13,7 @@ from plcpkit.field import (
     PrimeField,
     SequenceFormatError,
     _slots,
+    bit_string,
     dumps_sequence,
     loads_sequence,
     pack_bits,
@@ -21,6 +22,7 @@ from plcpkit.field import (
     poly_gcd,
     unpack_bits,
 )
+from plcpkit.seqgen import BitSource
 
 primes = st.sampled_from([2, 3, 5, 7, 13])
 
@@ -299,6 +301,7 @@ def test_pack_unpack_round_trip_at_word_boundaries(n):
     for name, bits in shapes.items():
         packed = pack_bits(bits)
         assert packed == _pack_bits_by_join(bits) == pack_bits(tuple(bits)), name
+        assert bit_string(bits) == "".join(map(str, bits)), name
         assert unpack_bits(packed, n) == bits, name
         # bits at n and above are not read
         assert unpack_bits(packed | 0b101 << n, n) == bits, name
@@ -307,17 +310,28 @@ def test_pack_unpack_round_trip_at_word_boundaries(n):
 def test_poly_and_field_are_immutable():
     f5 = PrimeField(5)
     poly = DensePoly(f5, [1, 2, 3])
-    for name, value in [("field", GF2), ("coeffs", (1,)), ("extra", 0)]:
-        with pytest.raises(AttributeError, match=f"^DensePoly is immutable: cannot set '{name}'$"):
-            setattr(poly, name, value)
-    for name in ("field", "coeffs"):
-        with pytest.raises(AttributeError, match=f"^DensePoly is immutable: cannot delete '{name}'$"):
-            delattr(poly, name)
-    with pytest.raises(AttributeError, match="^PrimeField is immutable: cannot set 'p'$"):
-        f5.p = 7
-    with pytest.raises(AttributeError, match="^PrimeField is immutable: cannot delete 'p'$"):
-        del f5.p
+    seq = CoeffSeq(GF2, [1, 0, 1], origin=0)
+    values = [
+        (f5, "PrimeField", {"p": 7}),
+        (poly, "DensePoly", {"field": GF2, "coeffs": (1,)}),
+        (seq, "CoeffSeq", {"field": f5, "terms": (2, 7), "origin": 1}),
+        (seq.shift_index(1), "CoeffSeq", {"field": f5, "terms": (2, 7), "origin": 0}),
+        (BitSource.seeded(3), "BitSource", {
+            "kind": "literal", "bits": (), "preperiod": (1,), "period": (0,), "seed": 4,
+        }),
+    ]
+    for value, kind, slots in values:
+        before = hash(value)
+        assert set(slots) == set(type(value).__slots__), kind
+        for name, new in [*slots.items(), ("extra", 0)]:
+            with pytest.raises(AttributeError, match=f"^{kind} is immutable: cannot set '{name}'$"):
+                setattr(value, name, new)
+        for name in slots:
+            with pytest.raises(AttributeError, match=f"^{kind} is immutable: cannot delete '{name}'$"):
+                delattr(value, name)
+        assert hash(value) == before, kind
     assert poly == DensePoly(PrimeField(5), [1, 2, 3]) and f5.p == 5
+    assert seq == CoeffSeq(GF2, [1, 0, 1], origin=0) and seq.terms == (1, 0, 1)
 
 
 def test_field_hash_floor_division_and_repr():

@@ -109,12 +109,33 @@ class TestBitSource:
         assert repr(BitSource.parse(spec)) == f"BitSource({spec!r})"
 
     @pytest.mark.parametrize(
+        "spec",
+        ["literal:1011", "periodic::1", "periodic:1:001", "random:42"],
+    )
+    def test_parse_of_spec_is_an_equal_value(self, spec):
+        b = BitSource.parse(spec)
+        again = BitSource.parse(b.spec())
+        assert again == b and hash(again) == hash(b) and again is not b
+        assert BitSource.seeded(1) != BitSource.seeded(2)
+        assert BitSource.literal("1") != BitSource.periodic("", "1")
+
+    @pytest.mark.parametrize(
         "bad",
         ["literal:", "literal:102", "periodic:1", "periodic:1:", "random:x", "what:1"],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             BitSource.parse(bad)
+
+    # int() would take each of these; a seed is ASCII -?[0-9]+, like a residue
+    @pytest.mark.parametrize("seed", ["1_0", " 5", "5 ", "+5", "\u0663", "", "-"])
+    def test_parse_rejects_seeds_int_would_take(self, seed):
+        with pytest.raises(ValueError, match=f"^bad seed: {re.escape(repr(seed))}$"):
+            BitSource.parse("random:" + seed)
+
+    def test_negative_seeds_are_masked(self):
+        assert BitSource.parse("random:-1") == BitSource.seeded((1 << 64) - 1)
+        assert BitSource.parse("random:-1").spec() == f"random:{(1 << 64) - 1}"
 
 
 def test_rueppel_supports():
