@@ -199,7 +199,7 @@ def _phi3_kernel_levels(b: BitSource, window: int):
     seen = set()
     k = 0
     while True:
-        bits = [b.bit(i) for i in range(window + k - 1)]
+        bits = b.take(window + k - 1)
         occurrences: dict = {}
         for i in range(window):
             occurrences.setdefault(tuple(bits[i : i + k]), set()).add(i)

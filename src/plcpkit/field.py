@@ -229,8 +229,6 @@ class DensePoly(_Frozen):
         if self.is_zero:
             return 1, self
         u = self.lc
-        if u == 1:
-            return 1, self
         ui = self.field.inv(u)
         return u, DensePoly(self.field, [c * ui for c in self.coeffs])
 

@@ -30,6 +30,7 @@ __all__ = [
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_READS = {"literal": ("bits",), "periodic": ("preperiod", "period"), "random": ("seed",)}
 
 
 def _splitmix64(state):
@@ -64,21 +65,27 @@ def derive_seed(seed: int, index: int) -> int:
 class BitSource(_Frozen):
     """Deterministic bit stream: literal, eventually periodic, or seeded.
 
-    Spec strings: ``literal:1011``, ``periodic:<pre>:<per>`` (either part
-    may be empty, the period may not), ``random:<seed>``.  Bits, given as
-    a "1011" string or as 0/1 ints, are stored as tuples of plain ints.
+    Spec strings: ``literal:1011`` (nonempty), ``periodic:<pre>:<per>``
+    (the period nonempty), ``random:<seed>``; each kind refuses the
+    arguments it does not read, so a source equals its spec.  Bits,
+    given as a "1011" string or as 0/1 ints, are stored as int tuples.
     """
 
     __slots__ = ("kind", "bits", "preperiod", "period", "seed")
 
     def __init__(self, kind, bits=(), preperiod=(), period=(), seed=0):
-        seed &= _M64
-        if kind not in ("literal", "periodic", "random"):
+        if kind not in _READS:
             raise ValueError(f"unknown bit source kind: {kind!r}")
-        period = _bits(period)
-        if kind == "periodic" and not period:
+        given = dict(bits=_bits(bits), preperiod=_bits(preperiod), period=_bits(period), seed=seed)
+        for name, value in given.items():
+            if value and name not in _READS[kind]:
+                raise ValueError(f"{kind} bit source does not take {name}")
+        if kind == "literal" and not given["bits"]:
+            raise ValueError("literal bit source needs nonempty bits")
+        if kind == "periodic" and not given["period"]:
             raise ValueError("periodic bit source needs a nonempty period")
-        self._set(kind=kind, bits=_bits(bits), preperiod=_bits(preperiod), period=period, seed=seed)
+        given["seed"] = seed & _M64
+        self._set(kind=kind, **given)
 
     def _key(self):
         return (self.kind, self.bits, self.preperiod, self.period, self.seed)
@@ -99,15 +106,11 @@ class BitSource(_Frozen):
     def parse(cls, spec: str) -> "BitSource":
         kind, _, rest = spec.partition(":")
         if kind == "literal":
-            if not rest or set(rest) - set("01"):
-                raise ValueError(f"bad literal bit string: {rest!r}")
             return cls.literal(rest)
         if kind == "periodic":
             pre, sep, per = rest.partition(":")
             if not sep:
                 raise ValueError("periodic spec is periodic:<pre>:<per>")
-            if set(pre) - set("01") or set(per) - set("01") or not per:
-                raise ValueError(f"bad periodic bit strings: {rest!r}")
             return cls.periodic(pre, per)
         if kind == "random":
             if not _RESIDUE.fullmatch(rest):
@@ -189,9 +192,8 @@ def phi2_selector(b: BitSource, n: int) -> CoeffSeq:
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    # b_m is used while 2m+1 <= n-1, i.e. for m <= (n-2)//2
-    need = 0 if n == 1 else (n - 2) // 2 + 1
-    bb = b.take(need)
+    # b_m is used while 2m+1 <= n-1, i.e. for m < n//2
+    bb = b.take(n // 2)
     a = [0] * n
     a[0] = 1
     for i in range(1, n):
@@ -251,7 +253,8 @@ def named_sequence(name: str, n: int) -> CoeffSeq:
     thue-morse   parity of the binary weight of n (origin 0)
     z            z_1 = 1, z_{2n} = 1 + z_n, z_{2n+1} = 1 (origin 1); this
                  is pd indexed from 1, z_n = pd_{n-1}
-    w            w_1 = 1, w_{2n+1} = 1 + w_n, w_{2n} = 1 (origin 1)
+    w            w_1 = 1, w_{2n+1} = 1 + w_n, w_{2n} = 1 (origin 1); this
+                 is phi2 of the all-one stream indexed from 1
 
     Long spellings period-doubling / z-seq / w-seq are accepted too.
     """
@@ -265,11 +268,7 @@ def named_sequence(name: str, n: int) -> CoeffSeq:
     if canonical == "thue-morse":
         return CoeffSeq(GF2, [i.bit_count() & 1 for i in range(n)], origin=0)
     if canonical == "w":
-        terms = [0] * (n + 1)
-        terms[1] = 1
-        for i in range(2, n + 1):
-            terms[i] = 1 if i % 2 == 0 else (1 + terms[i // 2]) % 2
-        return CoeffSeq(GF2, terms[1:], origin=1)
+        return phi2_selector(BitSource.periodic("", "1"), n).shift_index(1)
     raise ValueError(f"unknown sequence name: {name!r}")
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from phi1_oracle import phi1_tower
 
 from plcpkit.cfrac import laurent_cf
-from plcpkit.field import GF2, CoeffSeq, DensePoly
+from plcpkit.field import GF2, CoeffSeq, DensePoly, bit_string
 from plcpkit.lincomplex import is_plcp, lcp_profile
 from plcpkit.seqgen import (
     NAMED_SEQUENCES,
@@ -61,6 +61,28 @@ def test_counter_form_matches_the_stateful_generator(seed):
         assert derive_seed(seed, index) == word0, index
 
 
+@st.composite
+def _arguments(draw, kind):
+    """Keyword arguments for BitSource(kind, ...): the kind's own, and maybe
+    others, empty or not; bits as a string, ints, bools or an iterator."""
+
+    def bits(min_size):
+        values = draw(st.lists(st.integers(0, 1), min_size=min_size, max_size=16))
+        return draw(st.sampled_from([bit_string, tuple, iter, lambda v: [bool(x) for x in v]]))(values)
+
+    seeds = st.integers() | st.integers(min_value=2**64)
+    if kind == "literal":
+        args = {"bits": bits(1)}
+    elif kind == "periodic":
+        args = {"preperiod": bits(0), "period": bits(1)}
+    else:
+        args = {"seed": draw(seeds)}
+    for name in ("bits", "preperiod", "period", "seed"):
+        if name not in args and draw(st.booleans()):
+            args[name] = draw(seeds) if name == "seed" else bits(0)
+    return args
+
+
 def test_derive_seed_is_stable_and_spread():
     seeds = [derive_seed(0, i) for i in range(100)]
     assert len(set(seeds)) == 100
@@ -112,10 +134,17 @@ class TestBitSource:
         "spec",
         ["literal:1011", "periodic::1", "periodic:1:001", "random:42"],
     )
-    def test_parse_of_spec_is_an_equal_value(self, spec):
-        b = BitSource.parse(spec)
-        again = BitSource.parse(b.spec())
-        assert again == b and hash(again) == hash(b) and again is not b
+    @given(data=st.data())
+    def test_parse_of_spec_is_an_equal_value(self, spec, data):
+        kind = spec.partition(":")[0]
+        sources = [BitSource.parse(spec)]
+        try:
+            sources.append(BitSource(kind, **data.draw(_arguments(kind))))
+        except ValueError as error:  # a nonempty argument the kind does not read
+            assert str(error).startswith(f"{kind} bit source does not take ")
+        for b in sources:
+            again = BitSource.parse(b.spec())
+            assert again == b and hash(again) == hash(b) and again is not b
         assert BitSource.seeded(1) != BitSource.seeded(2)
         assert BitSource.literal("1") != BitSource.periodic("", "1")
 
@@ -286,6 +315,7 @@ def test_z_is_pd_without_the_index_shift():
 def test_z_and_w_defining_relations():
     z = named_sequence("z", 1001)
     w = named_sequence("w", 1001)
+    assert z[1] == w[1] == 1
     for n in range(1, 500):
         assert z[2 * n] == 1 ^ z[n]
         assert z[2 * n + 1] == 1
@@ -378,6 +408,46 @@ _SOURCE = BitSource.periodic("", "1")
     [
         (lambda: BitSource("bogus"), ValueError, "unknown bit source kind: 'bogus'"),
         (lambda: BitSource("periodic"), ValueError, "periodic bit source needs a nonempty period"),
+        (lambda: BitSource.literal(""), ValueError, "literal bit source needs nonempty bits"),
+        # a kind refuses every nonempty argument it does not read
+        (
+            lambda: BitSource("literal", bits="1", preperiod="1"),
+            ValueError,
+            "literal bit source does not take preperiod",
+        ),
+        (
+            lambda: BitSource("literal", bits="1", period=[0]),
+            ValueError,
+            "literal bit source does not take period",
+        ),
+        (lambda: BitSource("literal", bits="1", seed=5), ValueError, "literal bit source does not take seed"),
+        (
+            lambda: BitSource("literal", bits="1", seed=2**64),
+            ValueError,
+            "literal bit source does not take seed",
+        ),
+        (
+            lambda: BitSource("periodic", bits="1", period="1"),
+            ValueError,
+            "periodic bit source does not take bits",
+        ),
+        (
+            lambda: BitSource("periodic", period="1", seed=-1),
+            ValueError,
+            "periodic bit source does not take seed",
+        ),
+        (lambda: BitSource("random", bits="1", seed=3), ValueError, "random bit source does not take bits"),
+        (
+            lambda: BitSource("random", preperiod=(0,)),
+            ValueError,
+            "random bit source does not take preperiod",
+        ),
+        (lambda: BitSource("random", period=iter([1])), ValueError, "random bit source does not take period"),
+        # parse leaves the bit strings of a spec to the constructor
+        (lambda: BitSource.parse("literal:"), ValueError, "literal bit source needs nonempty bits"),
+        (lambda: BitSource.parse("literal:102"), ValueError, "bit source values must be bits: '2'"),
+        (lambda: BitSource.parse("periodic:1:"), ValueError, "periodic bit source needs a nonempty period"),
+        (lambda: BitSource.parse("periodic:2:1"), ValueError, "bit source values must be bits: '2'"),
         (lambda: BitSource("literal", bits=(1, 2)), ValueError, "bit source values must be bits: 2"),
         (lambda: BitSource.periodic([1.0], [0, 1]), ValueError, "bit source values must be bits: 1.0"),
         (lambda: BitSource.literal("10a"), ValueError, "bit source values must be bits: 'a'"),
@@ -397,6 +467,20 @@ _SOURCE = BitSource.periodic("", "1")
     ids=[
         "unknown-kind",
         "empty-period",
+        "empty-literal",
+        "literal-preperiod",
+        "literal-period",
+        "literal-seed",
+        "literal-seed-2^64",
+        "periodic-bits",
+        "periodic-seed",
+        "random-bits",
+        "random-preperiod",
+        "random-period",
+        "parse-empty-literal",
+        "parse-literal-not-a-bit",
+        "parse-empty-period",
+        "parse-periodic-not-a-bit",
         "not-a-bit",
         "float-bit",
         "letter-bit",
