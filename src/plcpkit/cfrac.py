@@ -261,6 +261,31 @@ def has_flat_expansion(cf: ContinuedFraction, n: int) -> bool:
     return all(d == 1 for d in cf.degrees())
 
 
+_PROBE = 32  # head length of the probe in `_flat_face`
+
+
+def _flat_face(s: CoeffSeq) -> bool:
+    """`has_flat_expansion(laurent_cf(s), len(s))`, answered from the first
+    `_PROBE` terms when they already fail.
+
+    Flatness is hereditary.  The quotients a head of M terms keeps are the
+    first quotients of every extension, and its `next_degree_bound` is a
+    lower bound on the degree of the extension's next quotient.  A head
+    that is not flat keeps a quotient of degree >= 2, or keeps D < M/2
+    linear ones and bounds the next by 2 or more (the cut-off in the
+    module docstring).  Either way every extension keeps that quotient or
+    stops before it with fewer than half its length in quotients, so no
+    extension is flat.  A flat head decides nothing, and the whole prefix
+    is expanded as if there were no probe.
+    """
+    n = len(s.terms)
+    if n > _PROBE:
+        head = CoeffSeq(s.field, s.terms[:_PROBE], s.origin)
+        if not has_flat_expansion(laurent_cf(head), _PROBE):
+            return False
+    return has_flat_expansion(laurent_cf(s), n)
+
+
 def series_prefix_of_fraction(f: DensePoly, g: DensePoly, n: int) -> CoeffSeq:
     """First n Laurent tail coefficients s_1..s_n of f/g (deg f < deg g),
     from the recurrence of g: O(n deg g) field operations, no division."""

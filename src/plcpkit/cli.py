@@ -15,7 +15,7 @@ import sys
 
 from plcpkit import __version__, backend_name
 from plcpkit.automata import as_kernel_input, kernel_explore
-from plcpkit.cfrac import has_flat_expansion, laurent_cf, orthogonal_multiplicity
+from plcpkit.cfrac import _flat_face, has_flat_expansion, laurent_cf, orthogonal_multiplicity
 from plcpkit.field import (
     _RESIDUE,
     GF2,
@@ -278,12 +278,13 @@ def five_property_battery(s1: CoeffSeq) -> dict:
     are one relation, so the two recurrence keys share one `recurrence_check`.
 
     The profile and Hankel faces stop at their first failure
-    (`first_imperfect_length`, `first_even_hankel_order`); the continued
-    fraction reads the whole prefix."""
+    (`first_imperfect_length`, `first_even_hankel_order`), and the
+    continued fraction at its probe (`cfrac._flat_face`) when the first 32
+    terms are already not flat."""
     recurrence = recurrence_check(s1)
     return {
         "profile-perfect": first_imperfect_length(s1) is None,
-        "cf-flat": has_flat_expansion(laurent_cf(s1), len(s1)),
+        "cf-flat": _flat_face(s1),
         "shift-recurrence": recurrence,
         "apwenian-recurrence": recurrence,
         "hankel-all-odd": is_apwenian_hankel(s1.shift_index(0)),

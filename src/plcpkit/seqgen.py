@@ -12,6 +12,8 @@ bit (i mod 64) of word i // 64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, cycle, islice
+from operator import xor
 
 from plcpkit.field import GF2, _RESIDUE, CoeffSeq, _Frozen, bit_string, pack_slots, unpack_bits
 
@@ -143,12 +145,18 @@ class BitSource(_Frozen):
         return (word >> (i % 64)) & 1
 
     def take(self, count: int) -> list:
-        """Bits 0..count-1 as a list; a seeded stream's words are joined
-        into one int, word k from bit 64k, and unpacked in one pass."""
-        if self.kind == "random":
-            words = _splitmix64_words(self.seed, (count + 63) // 64)
-            return unpack_bits(pack_slots(words, 64), count)
-        return [self.bit(i) for i in range(count)]
+        """Bits 0..count-1 as a list, built in C: a slice of a literal, the
+        preperiod then the period repeated, or a seeded stream's words
+        joined into one int, word k from bit 64k, and unpacked in one pass."""
+        count = max(count, 0)
+        if self.kind == "literal":
+            if count > len(self.bits):
+                self.bit(len(self.bits))  # the exhaustion error, at the first missing index
+            return list(self.bits[:count])
+        if self.kind == "periodic":
+            return list(islice(chain(self.preperiod, cycle(self.period)), count))
+        words = _splitmix64_words(self.seed, (count + 63) // 64)
+        return unpack_bits(pack_slots(words, 64), count)
 
     def __repr__(self):
         return f"BitSource({self.spec()!r})"
@@ -196,12 +204,14 @@ def phi2_selector(b: BitSource, n: int) -> CoeffSeq:
     bb = b.take(n // 2)
     a = [0] * n
     a[0] = 1
-    for i in range(1, n):
-        m = (i - 1) // 2
-        if i % 2 == 1:
-            a[i] = bb[m]
-        else:
-            a[i] = (a[m] + bb[m]) % 2
+    a[1::2] = bb
+    # a_{2m+2} for m in [lo, hi) reads a_m, m <= 2lo+1: odd, a_0, or an
+    # even index filled by an earlier block; so blocks double in length
+    last, lo = (n - 1) // 2, 0
+    while lo < last:
+        hi = min(last, 2 * lo + 2)
+        a[2 * lo + 2 : 2 * hi + 1 : 2] = map(xor, a[lo:hi], bb[lo:hi])
+        lo = hi
     return CoeffSeq(GF2, a, origin=0)
 
 

@@ -13,9 +13,11 @@ from cf_oracle import (
 )
 from hypothesis import example, given, strategies as st
 
+import plcpkit.cfrac as cfrac
 from plcpkit.cfrac import (
     ContinuedFraction,
     _euclid,
+    _flat_face,
     _split,
     convergents,
     has_flat_expansion,
@@ -27,6 +29,7 @@ from plcpkit.cfrac import (
     series_prefix_of_fraction,
 )
 from plcpkit.field import GF2, NEG_INF, CoeffSeq, DensePoly, PrimeField, _divmod_packed, pack_bits
+from plcpkit.seqgen import BitSource, derive_seed, phi2_selector
 from plcpkit.lincomplex import lcp_profile
 
 f2_seqs = st.lists(st.integers(0, 1), min_size=1, max_size=80).map(
@@ -402,6 +405,67 @@ def test_flat_equals_perfect_profile(s):
     from plcpkit.lincomplex import is_plcp
 
     assert has_flat_expansion(laurent_cf(s), len(s)) == is_plcp(lcp_profile(s))
+
+
+def _flat(s):
+    return has_flat_expansion(laurent_cf(s), len(s))
+
+
+def test_probed_face_equals_the_whole_expansion_on_every_short_prefix(monkeypatch):
+    # every F2 prefix to 12 terms and every F3 prefix to 7, each against
+    # probes of 1..6 terms, so both the early answer and the fallback run
+    for p, longest in ((2, 12), (3, 7)):
+        field = PrimeField(p)
+        for n in range(1, longest + 1):
+            for terms in itertools.product(range(p), repeat=n):
+                s = CoeffSeq(field, terms, origin=1)
+                want = _flat(s)
+                for probe in range(1, 7):
+                    monkeypatch.setattr(cfrac, "_PROBE", probe)
+                    assert _flat_face(s) == want, (p, terms, probe)
+
+
+@pytest.mark.parametrize("length", [31, 32, 33, 129, 512])
+def test_probed_face_on_phi2_prefixes_flipped_around_the_probe(length):
+    # s_n for odd n >= 3 is forced by earlier terms, so flipping it first
+    # fails at n; flipping the free s_32 first fails at 33
+    assert cfrac._PROBE == 32
+    s = phi2_selector(BitSource.seeded(derive_seed(5, length)), length).shift_index(1)
+    assert _flat_face(s) and _flat(s)
+    for n in sorted({31, 32, 33, length - 1 + length % 2}):
+        if n > length:
+            continue
+        terms = list(s.terms)
+        terms[n - 1] ^= 1
+        flipped = CoeffSeq(GF2, terms, origin=1)
+        assert _flat_face(flipped) == _flat(flipped) == (n == 32 == length), (length, n)
+
+
+def test_probed_face_refuses_origin_zero_as_the_expansion_does():
+    s = CoeffSeq(GF2, [1, 1] * 20, origin=0)
+    with pytest.raises(ValueError, match="expects an origin-1 sequence"):
+        _flat_face(s)
+
+
+@st.composite
+def phi2_prefixes_with_a_flip(draw):
+    # perfect prefixes with at most one flipped term: long flat heads, so
+    # the first failure can fall anywhere, not only in the first few terms
+    n = draw(st.integers(1, 120))
+    s = phi2_selector(BitSource.seeded(draw(st.integers(0, 2**64 - 1))), n).shift_index(1)
+    terms = list(s.terms)
+    at = draw(st.integers(0, n))
+    if at < n:
+        terms[at] ^= 1
+    return CoeffSeq(GF2, terms, origin=1)
+
+
+@given(st.one_of(f2_seqs, generic_seqs(), phi2_prefixes_with_a_flip()))
+def test_a_prefix_that_is_not_flat_has_no_flat_extension(s):
+    heads = [_flat(CoeffSeq(s.field, s.terms[:k], origin=1)) for k in range(1, len(s) + 1)]
+    first_fail = heads.index(False) if False in heads else len(heads)
+    assert heads == [True] * first_fail + [False] * (len(heads) - first_fail)
+    assert _flat_face(s) == heads[-1]
 
 
 def test_max_pq_degree():

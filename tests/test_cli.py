@@ -26,7 +26,7 @@ from plcpkit.field import (
     write_sequence,
 )
 from plcpkit.hankel import hankel_mod_p
-from plcpkit.lincomplex import is_plcp, lcp_profile
+from plcpkit.lincomplex import first_imperfect_length, is_plcp, lcp_profile
 from plcpkit.seqgen import BitSource, phi2_selector, rueppel
 
 
@@ -429,6 +429,19 @@ def test_analyze_hankel_report_matches_the_golden_file(capsys, name):
     rc, out, err = run(capsys, "analyze", "hankel", "--in", path, "--max", "256")
     assert (rc, err) == (0, "")
     assert out.encode("ascii") == (golden / f"{name}-hankel-256.txt").read_bytes()
+
+
+def test_verify_file_report_past_the_probe_matches_the_golden_file(capsys, monkeypatch):
+    # made at commit e024cc0 from the repository root: the flipped phi2
+    # prefix first fails at n = 303, so its 32-term head is flat and the
+    # continued fraction face expands all 512 terms
+    root = Path(__file__).parent.parent
+    monkeypatch.chdir(root)
+    path = "tests/golden/hankel-phi2-512-flip.seq"
+    assert first_imperfect_length(read_sequence(path).shift_index(1)) == 303
+    rc, out, err = run(capsys, "verify", "--source", "file", "--in", path)
+    assert (rc, err) == (0, "")
+    assert out.encode("ascii") == (root / "tests" / "golden" / "verify-file-phi2-512-flip.txt").read_bytes()
 
 
 def test_verify_phi2_trials_unanimous(capsys):

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 from phi1_oracle import phi1_tower
+from phi2_oracle import phi2_loop
 
 from plcpkit.cfrac import laurent_cf
 from plcpkit.field import GF2, CoeffSeq, DensePoly, bit_string
@@ -112,6 +113,18 @@ class TestBitSource:
         b = BitSource.seeded(99)
         assert b.take(130) == [b.bit(i) for i in range(130)]
 
+    @pytest.mark.parametrize("spec", ["literal:" + "1101" * 50, "periodic::1", "periodic:110:01011", "random:7"])
+    def test_take_matches_bit_for_every_kind(self, spec):
+        b = BitSource.parse(spec)
+        for count in range(201):
+            assert b.take(count) == [b.bit(i) for i in range(count)], count
+
+    def test_take_past_a_literal_names_the_first_missing_index(self):
+        b = BitSource.literal("1011")
+        assert b.take(-1) == []
+        with pytest.raises(ValueError, match=r"^literal bit source exhausted at index 4 \(have 4\)$"):
+            b.take(9)
+
     @pytest.mark.parametrize("seed", [0, 99, _M64])
     def test_take_matches_bit_at_word_boundaries(self, seed):
         b = BitSource.seeded(seed)
@@ -210,6 +223,13 @@ def test_phi3_marks_follow_doubling_law():
     stream = [1, 1, 0, 1, 0, 0]
     for h in range(len(marks) - 1):
         assert marks[h + 1] == 2 * marks[h] + stream[h]
+
+
+@pytest.mark.parametrize("spec", ["random:3", "random:18446744073709551615", "periodic::1", "periodic:0:10"])
+def test_phi2_selector_matches_the_per_index_loop(spec):
+    b = BitSource.parse(spec)
+    for n in range(1, 601):
+        assert phi2_selector(b, n) == phi2_loop(b, n), n
 
 
 def test_phi2_selector_consumes_prefix_only():
