@@ -50,7 +50,6 @@ from plcpkit.cfrac import (
     convergents,
     has_flat_expansion,
     laurent_cf,
-    max_pq_degree,
     orthogonal_multiplicity,
     profile_from_cf,
     rational_cf,
@@ -65,8 +64,6 @@ from plcpkit.hankel import (
 from plcpkit.automata import (
     as_kernel_input,
     build_from_u,
-    decimate,
-    eventually_periodic,
     kernel_explore,
     klx_check,
     phi3_kernel_counts,

@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from plcpkit.field import GF2, CoeffSeq, pack_bits
+from plcpkit.field import GF2, CoeffSeq, PrimeField, pack_bits
 from plcpkit.lincomplex import recurrence_check
 from plcpkit.seqgen import BitSource, UniformMorphism, morphism_fixed_point
 
 __all__ = [
-    "decimate",
     "as_kernel_input",
     "KernelClass",
     "KernelReport",
@@ -35,24 +34,8 @@ __all__ = [
     "uv_decompose",
     "klx_check",
     "build_from_u",
-    "eventually_periodic",
     "uniform_morphism_scan",
 ]
-
-
-def decimate(s: CoeffSeq, which: str) -> CoeffSeq:
-    """T0 keeps the even-index terms, T1 the odd-index ones; origin 0."""
-    if s.origin != 0:
-        raise ValueError("decimation expects an origin-0 sequence")
-    if which == "T0":
-        terms = s.terms[0::2]
-    elif which == "T1":
-        terms = s.terms[1::2]
-    else:
-        raise ValueError(f"which must be 'T0' or 'T1': {which!r}")
-    if not terms:
-        raise ValueError("sequence too short to decimate")
-    return CoeffSeq(s.field, terms, origin=0)
 
 
 def as_kernel_input(s: CoeffSeq) -> CoeffSeq:
@@ -81,6 +64,7 @@ class KernelReport:
     edges: dict  # (class index, "T0"|"T1") -> class index
     unresolved: list  # (parent index, op, k, j) children too short to compare
     bound_reason: str | None  # "max-classes" | "precision" | None
+    field: PrimeField  # the input's field: residues above 9 need separators
 
     @property
     def closed(self) -> bool:
@@ -102,8 +86,8 @@ class KernelReport:
             + (f" ({self.bound_reason})" if self.bound_reason else ""),
         ]
         for c in self.classes:
-            bits = "".join(map(str, c.prefix(self.tau)))
-            lines.append(f"  class {c.index}: k={c.k} j={c.j} len={len(c.terms)} prefix={bits}")
+            prefix = ("," if self.field.p > 10 else "").join(map(str, c.prefix(self.tau)))
+            lines.append(f"  class {c.index}: k={c.k} j={c.j} len={len(c.terms)} prefix={prefix}")
         for (i, op), j in sorted(self.edges.items()):
             lines.append(f"  edge {i} --{op}--> {j}")
         if self.unresolved:
@@ -180,6 +164,7 @@ def kernel_explore(s: CoeffSeq, tau: int = 64, max_classes: int = 256) -> Kernel
         edges=edges,
         unresolved=unresolved,
         bound_reason=reason,
+        field=s.field,
     )
 
 
@@ -343,26 +328,6 @@ def build_from_u(u: CoeffSeq, n: int) -> CoeffSeq:
         else:
             a[i] = (a[m] + u.terms[m]) % 2
     return CoeffSeq(GF2, a[1:], origin=1)
-
-
-def eventually_periodic(b: CoeffSeq, max_preperiod: int, max_period: int):
-    """Smallest (preperiod, period) lexicographically, or None.
-
-    The candidate must be consistent with the entire stored prefix, and
-    the prefix must be long enough to see any candidate twice.
-    """
-    if max_preperiod < 0 or max_period < 1:
-        raise ValueError("need max_preperiod >= 0 and max_period >= 1")
-    t = b.terms
-    if len(t) < max_preperiod + 2 * max_period:
-        raise ValueError(
-            f"insufficient length: need {max_preperiod + 2 * max_period}, have {len(t)}"
-        )
-    for rho in range(max_preperiod + 1):
-        for pi in range(1, max_period + 1):
-            if all(t[i] == t[i + pi] for i in range(rho, len(t) - pi)):
-                return (rho, pi)
-    return None
 
 
 def uniform_morphism_scan(k: int, n: int) -> list:

@@ -50,7 +50,6 @@ __all__ = [
     "rational_cf",
     "convergents",
     "profile_from_cf",
-    "max_pq_degree",
     "has_flat_expansion",
     "orthogonal_multiplicity",
     "series_prefix_of_fraction",
@@ -234,13 +233,6 @@ def profile_from_cf(cf: ContinuedFraction, n_max: int) -> LCProfile:
             j += 1
         values.append(cum[j])
     return LCProfile(cf.field, tuple(values))
-
-
-def max_pq_degree(cf: ContinuedFraction) -> int:
-    """Largest degree among the partial quotients."""
-    if not cf.quotients:
-        raise ValueError("no guaranteed partial quotients")
-    return max(cf.degrees())
 
 
 def has_flat_expansion(cf: ContinuedFraction, n: int) -> bool:

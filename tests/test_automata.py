@@ -12,8 +12,6 @@ from plcpkit.automata import (
     UniformMorphism,
     as_kernel_input,
     build_from_u,
-    decimate,
-    eventually_periodic,
     kernel_explore,
     klx_check,
     phi3_kernel_counts,
@@ -29,18 +27,6 @@ from plcpkit.seqgen import (
     named_sequence,
     phi3_generalized_rueppel,
 )
-
-
-def test_decimate_splits_parity_classes():
-    s = CoeffSeq(GF2, [1, 0, 1, 1, 0], origin=0)
-    assert decimate(s, "T0").terms == (1, 1, 0)
-    assert decimate(s, "T1").terms == (0, 1)
-    with pytest.raises(ValueError, match="origin-0"):
-        decimate(CoeffSeq(GF2, [1, 0], origin=1), "T0")
-    with pytest.raises(ValueError, match="T0"):
-        decimate(s, "even")
-    with pytest.raises(ValueError, match="too short"):
-        decimate(CoeffSeq(GF2, [1], origin=0), "T1")
 
 
 def test_as_kernel_input_pads_origin_one():
@@ -173,6 +159,22 @@ def test_kernel_summary_counts_unresolved_children():
     assert lines[-1] == "  unresolved children: 2"
 
 
+def _class_prefixes(s, tau):
+    lines = kernel_explore(s, tau).summary().splitlines()
+    return [ln.split("prefix=")[1] for ln in lines if "prefix=" in ln]
+
+
+def test_kernel_summary_separates_residues_above_nine():
+    # over F11, the residues 1, 10 and 1, 1, 0 would both print as 110 if joined
+    f11 = PrimeField(11)
+    ten = _class_prefixes(CoeffSeq(f11, [1, 10] * 8, origin=0), tau=2)
+    ones = _class_prefixes(CoeffSeq(f11, [1, 1, 0] * 6, origin=0), tau=3)
+    assert (ten[0], ones[0]) == ("1,10", "1,1,0")
+    # up to F7 every residue is one digit, and the prefixes stay unseparated
+    f7 = _class_prefixes(CoeffSeq(PrimeField(7), [1, 6, 0] * 6, origin=0), tau=3)
+    assert f7[0] == "160"
+
+
 def test_kernel_rejects_short_input():
     s = CoeffSeq(GF2, [0, 1] * 10, origin=0)
     with pytest.raises(ValueError, match="precision too small"):
@@ -290,32 +292,6 @@ def test_uv_rejects_malformed_input():
         build_from_u(CoeffSeq(GF2, [0, 1], origin=0), 2)
     with pytest.raises(ValueError, match="indexed from 0"):
         build_from_u(CoeffSeq(GF2, [1, 1], origin=1), 2)
-
-
-@given(
-    st.lists(st.integers(0, 1), min_size=0, max_size=4),
-    st.lists(st.integers(0, 1), min_size=1, max_size=5),
-)
-def test_eventually_periodic_finds_planted_structure(pre, per):
-    need = 4 + 2 * 5
-    reps = -(-(need + 4) // len(per))
-    terms = pre + per * reps
-    b = CoeffSeq(GF2, terms, origin=0)
-    got = eventually_periodic(b, max_preperiod=4, max_period=5)
-    assert got is not None
-    rho, pi = got
-    assert (rho, pi) <= (len(pre), len(per))
-    t = b.terms
-    assert all(t[i] == t[i + pi] for i in range(rho, len(t) - pi))
-
-
-def test_eventually_periodic_rejects_aperiodic_and_short():
-    tm = named_sequence("thue-morse", 64)
-    assert eventually_periodic(tm, 4, 8) is None
-    with pytest.raises(ValueError, match="insufficient length"):
-        eventually_periodic(CoeffSeq(GF2, [0, 1, 0], origin=0), 4, 8)
-    with pytest.raises(ValueError, match="max_period"):
-        eventually_periodic(tm, 0, 0)
 
 
 def test_morphism_scan_singles_out_period_doubling():

@@ -22,7 +22,6 @@ from plcpkit.cfrac import (
     convergents,
     has_flat_expansion,
     laurent_cf,
-    max_pq_degree,
     orthogonal_multiplicity,
     profile_from_cf,
     rational_cf,
@@ -466,15 +465,6 @@ def test_a_prefix_that_is_not_flat_has_no_flat_extension(s):
     first_fail = heads.index(False) if False in heads else len(heads)
     assert heads == [True] * first_fail + [False] * (len(heads) - first_fail)
     assert _flat_face(s) == heads[-1]
-
-
-def test_max_pq_degree():
-    s = CoeffSeq(GF2, [1, 1, 0, 1, 0, 0, 0, 1], origin=1)
-    cf = laurent_cf(s)
-    assert max_pq_degree(cf) == max(int(q.degree) for q in cf.quotients)
-    empty = laurent_cf(CoeffSeq(GF2, [0], origin=1))
-    with pytest.raises(ValueError):
-        max_pq_degree(empty)
 
 
 def test_profile_from_cf_requires_origin_one_data():

@@ -68,10 +68,10 @@ def test_every_export_resolves():
 _TOP_LEVEL = {
     "BerlekampMassey", "BitSource", "CoeffSeq", "ContinuedFraction", "DensePoly", "GF2",
     "LCProfile", "PrimeField", "UniformMorphism", "apww_check", "as_kernel_input",
-    "backend_name", "build_from_u", "convergents", "decimate", "eventually_periodic",
+    "backend_name", "build_from_u", "convergents",
     "expected_lc", "first_even_hankel_order", "first_imperfect_length",
     "hankel_integer_pm1", "hankel_mod_p", "has_flat_expansion", "is_apwenian_hankel",
-    "is_plcp", "kernel_explore", "klx_check", "laurent_cf", "lcp_profile", "max_pq_degree",
+    "is_plcp", "kernel_explore", "klx_check", "laurent_cf", "lcp_profile",
     "morphism_fixed_point", "named_sequence", "orthogonal_multiplicity", "phi1_jacobi",
     "phi2_selector", "phi3_generalized_rueppel", "phi3_kernel_counts", "phi3_kernel_size",
     "poly_divmod", "poly_gcd", "profile_from_cf", "rational_cf", "read_sequence",
