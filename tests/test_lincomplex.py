@@ -84,10 +84,9 @@ def _pushed_and_batch(bits):
     return tuple(bm.push(t) for t in bits), lcp_profile(CoeffSeq(GF2, bits, origin=1)).values
 
 
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=96))
-def test_incremental_bm_matches_batch(bits):
-    # wider than f2_seqs: lengths past 64 cross a word of the packed pass
-    pushed, batch = _pushed_and_batch(bits)
+@given(f2_seqs)
+def test_incremental_bm_matches_batch(s):
+    pushed, batch = _pushed_and_batch(list(s.terms))
     assert pushed == batch
 
 
